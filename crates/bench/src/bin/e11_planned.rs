@@ -24,8 +24,9 @@ use qcs_bench::{checksum, fmt_secs, time_best, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
 use qcs_core::library;
-use qcs_core::perf::{predict_circuit, predict_planned};
+use qcs_core::perf::{predict_circuit, predict_program};
 use qcs_core::plan::plan_circuit;
+use qcs_core::program::Program;
 use qcs_core::sim::Strategy;
 use qcs_core::state::StateVector;
 
@@ -149,8 +150,7 @@ fn headline(samples: &mut Vec<Sample>, max_threads: usize) -> String {
     let chip = ChipParams::a64fx();
     let cfg = ExecConfig::full_chip();
     let naive_model = predict_circuit(&chip, &cfg, &c);
-    let plan = plan_circuit(&c, 13, 4);
-    let planned_model = predict_planned(&chip, &cfg, &plan);
+    let planned_model = predict_program(&chip, &cfg, &Program::from(plan_circuit(&c, 13, 4)));
 
     let mut table = Table::new(&["strategy", "host time", "sweeps", "vs naive", "model (A64FX)"]);
     let (naive_s, naive_sw) = measure(&c, Strategy::Naive, threads, 1);

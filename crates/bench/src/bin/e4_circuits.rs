@@ -63,7 +63,8 @@ fn model_at_scale(name: &str, c: &Circuit) {
     use a64fx_model::timing::ExecConfig;
     use a64fx_model::ChipParams;
     use qcs_core::fusion::fuse;
-    use qcs_core::perf::{predict_circuit, predict_fused};
+    use qcs_core::perf::{predict_circuit, predict_program};
+    use qcs_core::program::Program;
 
     let chip = ChipParams::a64fx();
     let cfg = ExecConfig::full_chip();
@@ -79,8 +80,7 @@ fn model_at_scale(name: &str, c: &Circuit) {
         format!("{:.1}", naive.mem_bytes as f64 / (1u64 << 30) as f64),
     ]);
     for k in [2u32, 3, 4, 5] {
-        let plan = fuse(c, k);
-        let fused = predict_fused(&chip, &cfg, &plan, c.n_qubits());
+        let fused = predict_program(&chip, &cfg, &Program::from_fused(c.n_qubits(), fuse(c, k)));
         table.row(&[
             format!("fused k={k}"),
             fused.sweeps.to_string(),

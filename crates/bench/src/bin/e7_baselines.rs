@@ -12,11 +12,13 @@
 use a64fx_model::timing::ExecConfig;
 use a64fx_model::ChipParams;
 use qcs_bench::{checksum, fmt_secs, time_best, Table};
+use qcs_core::calibrate::Calibration;
 use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
 use qcs_core::fusion::fuse;
 use qcs_core::library;
-use qcs_core::perf::{predict_circuit, predict_fused};
+use qcs_core::perf::{predict_circuit, predict_program};
+use qcs_core::program::{lower, Program};
 use qcs_core::sim::Strategy;
 use qcs_core::state::StateVector;
 
@@ -41,26 +43,9 @@ fn bench(name: &str, c: &Circuit) {
             sweeps = r.sweeps;
             std::hint::black_box(checksum(s.amplitudes()));
         });
-        let model_secs = match strat {
-            Strategy::Fused { max_k } => {
-                let plan = fuse(c, max_k);
-                predict_fused(&chip, &cfg, &plan, c.n_qubits()).seconds
-            }
-            Strategy::Blocked { .. } => {
-                // Blocking leaves per-gate arithmetic unchanged but cuts
-                // state sweeps (and hence traffic) to the blocked run
-                // count — scale the naive prediction by the sweep ratio.
-                let naive = predict_circuit(&chip, &cfg, c);
-                naive.seconds * sweeps as f64 / naive.sweeps.max(1) as f64
-            }
-            Strategy::Naive => predict_circuit(&chip, &cfg, c).seconds,
-            Strategy::Planned { block_qubits, max_k } => {
-                let plan = qcs_core::plan::plan_circuit(c, block_qubits, max_k);
-                qcs_core::perf::predict_planned(&chip, &cfg, &plan).seconds
-            }
-            // Not in the fixed-strategy table above.
-            Strategy::Auto => unreachable!("e7 benches fixed strategies only"),
-        };
+        // Price the program that ran: the same lowering, same sweeps.
+        let program = lower(c, strat, Calibration::get());
+        let model_secs = predict_program(&chip, &cfg, &program).seconds;
         table.row(&[label, fmt_secs(host), fmt_secs(model_secs), sweeps.to_string()]);
     }
     table.print();
@@ -74,8 +59,7 @@ fn model_only(name: &str, c: &Circuit) {
     let mut table = Table::new(&["strategy", "model time", "vs naive"]);
     let naive = predict_circuit(&chip, &cfg, c);
     table.row(&["naive".into(), fmt_secs(naive.seconds), "1.00×".into()]);
-    let plan = fuse(c, 4);
-    let fused = predict_fused(&chip, &cfg, &plan, c.n_qubits());
+    let fused = predict_program(&chip, &cfg, &Program::from_fused(c.n_qubits(), fuse(c, 4)));
     table.row(&[
         "fused k=4".into(),
         fmt_secs(fused.seconds),

@@ -1,18 +1,18 @@
 //! Batched multi-circuit execution.
 //!
-//! A [`BatchSimulator`] owns nothing between calls; [`BatchSimulator::run`]
-//! applies one circuit to a batch of independent state vectors in
-//! *gate-major* order: the fuse/plan products are built once, then each
-//! sweep is applied to every member before the next sweep starts. The
-//! gate stream (matrices, block items, plan ops) stays hot across
-//! members — the locality argument of the paper's cache-blocking
-//! analysis applied along the batch axis — while the amplitude work per
-//! member is exactly what a lone run performs.
+//! A [`BatchSimulator`] is a [`Simulator`] plus a batch size.
+//! [`BatchSimulator::run`] lowers one circuit once and executes the
+//! [`Program`](crate::program::Program) over a batch of independent
+//! state vectors in *gate-major* order: each sweep is applied to every
+//! member before the next sweep starts. The gate stream (matrices,
+//! block items, plan ops) stays hot across members — the locality
+//! argument of the paper's cache-blocking analysis applied along the
+//! batch axis — while the amplitude work per member is exactly what a
+//! lone run performs.
 //!
 //! Every (member, block) cell executes the *serial* kernel path a
-//! single-threaded [`Simulator`](crate::sim::Simulator) run uses (the
-//! shared executors in `sim.rs`), and worksharing only decides which
-//! thread owns which disjoint cell. Batched results are therefore
+//! single-threaded [`Simulator`] run uses, and worksharing only decides
+//! which thread owns which disjoint cell. Batched results are therefore
 //! bit-identical to running the members sequentially, for every
 //! strategy × backend × schedule combination — the property the
 //! differential-conformance suite pins down.
@@ -22,33 +22,21 @@
 //! member, each with its own seeded RNG, in a single batched call.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use a64fx_model::timing::ExecConfig;
-use a64fx_model::traffic::KernelKind;
-use a64fx_model::ChipParams;
-use omp_par::{for_each_cell, CellGrid, Schedule, ThreadPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::circuit::{Circuit, Gate};
-use crate::complex::C64;
-use crate::config::{PoolSpec, SimConfig};
-use crate::fusion::{fuse_costed, FusedOp};
-use crate::kernels::blocked::{apply_block_chunk, BlockGate, PreparedRun};
-use crate::kernels::fused::PreparedFused;
-use crate::kernels::simd::{self, BackendChoice, KernelBackend};
-use crate::kernels::AmpPtr;
-use crate::measure::{measure_qubit, MeasurementResult};
+use crate::circuit::Circuit;
+use crate::config::SimConfig;
+use crate::kernels::simd::KernelBackend;
+use crate::measure::MeasurementResult;
 use crate::noise::{run_trajectory, NoiseChannel};
 use crate::perf::{predict_batched, BatchPrediction};
-use crate::plan::{plan_circuit, Plan, PlanOp};
-use crate::sim::{
-    build_block_items, exec_block_run, exec_gate, exec_plan_op, BlockItem, SimError, Strategy,
-};
+use crate::program::lower_with;
+use crate::sim::{check_widths, SimError, Simulator, Strategy};
 use crate::state::StateVector;
-use crate::telemetry::{self, RunMeta, TelemetryConfig, Trace, Tracer};
+use crate::telemetry::Trace;
 
 /// Most members one batched call accepts. Far above any host memory
 /// budget for interesting widths; the cap exists so configuration
@@ -62,36 +50,6 @@ static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(1);
 
 fn next_batch_id() -> u64 {
     NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// A raw pointer to row `i` of a batch-owned table (states, RNGs,
-/// error counters), `Copy` so worksharing closures can capture it.
-///
-/// Same disjointness contract as [`AmpPtr`]: each row index is touched
-/// by exactly one (member, block) cell, and the region barrier in
-/// [`for_each_cell`] orders all cell writes before the caller reads the
-/// tables again.
-struct RowPtr<T>(*mut T);
-
-impl<T> Clone for RowPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for RowPtr<T> {}
-
-// SAFETY: rows are handed to exactly one cell each (per-member grids),
-// so no two threads alias the same element.
-unsafe impl<T> Send for RowPtr<T> {}
-unsafe impl<T> Sync for RowPtr<T> {}
-
-impl<T> RowPtr<T> {
-    /// # Safety
-    /// `i` must be in bounds and exclusively owned by the calling cell.
-    #[inline(always)]
-    unsafe fn at(self, i: usize) -> &'static mut T {
-        &mut *self.0.add(i)
-    }
 }
 
 /// Report of one batched execution.
@@ -146,36 +104,23 @@ pub struct TrajectoryBatch {
     pub errors: Vec<usize>,
 }
 
-/// The batched execution engine.
+/// The batched execution engine: a [`Simulator`] plus a batch size.
 ///
 /// Configured through [`SimConfig`] like the single-run engine; the
 /// extra knob is [`SimConfig::batch`](SimConfig::batch), which sizes
 /// [`run_fresh`](BatchSimulator::run_fresh). Per-run resilience state
 /// (integrity sweeps, checkpointing) is rejected at construction —
 /// those are single-trajectory features.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct BatchSimulator {
-    strategy: Strategy,
-    pool: Option<Arc<ThreadPool>>,
-    sched: Schedule,
-    chip: Option<(ChipParams, ExecConfig)>,
-    backend: Option<BackendChoice>,
-    telemetry: TelemetryConfig,
+    sim: Simulator,
     default_batch: usize,
 }
 
 impl BatchSimulator {
     /// Single-threaded, gate-by-gate, batch size 1, telemetry off.
     pub fn new() -> BatchSimulator {
-        BatchSimulator {
-            strategy: Strategy::Naive,
-            pool: None,
-            sched: Schedule::default_static(),
-            chip: None,
-            backend: None,
-            telemetry: TelemetryConfig::off(),
-            default_batch: 1,
-        }
+        BatchSimulator { sim: Simulator::new(), default_batch: 1 }
     }
 
     /// Build a batched engine from a validated [`SimConfig`].
@@ -199,44 +144,18 @@ impl BatchSimulator {
                     .to_string(),
             ));
         }
-        let SimConfig {
-            strategy,
-            backend,
-            pool,
-            schedule,
-            model,
-            telemetry,
-            integrity: _,
-            checkpoint: _,
-            batch,
-        } = config;
-        let pool = match pool {
-            PoolSpec::Serial | PoolSpec::Threads(1) => None,
-            PoolSpec::Threads(n) => Some(Arc::new(ThreadPool::new(n))),
-            PoolSpec::Shared(p) => Some(p),
-        };
-        Ok(BatchSimulator {
-            strategy,
-            pool,
-            sched: schedule,
-            chip: model,
-            backend: match backend {
-                BackendChoice::Auto => None,
-                explicit => Some(explicit),
-            },
-            telemetry,
-            default_batch: batch,
-        })
+        let default_batch = config.batch;
+        Ok(BatchSimulator { sim: Simulator::from_config(config)?, default_batch })
     }
 
     /// The configured strategy.
     pub fn strategy(&self) -> Strategy {
-        self.strategy
+        self.sim.strategy()
     }
 
     /// Worksharing threads (1 when serial).
     pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.num_threads())
+        self.sim.threads()
     }
 
     /// The batch size [`run_fresh`](BatchSimulator::run_fresh) uses.
@@ -246,19 +165,16 @@ impl BatchSimulator {
 
     /// The kernel backend this engine executes with.
     pub fn backend(&self) -> &'static KernelBackend {
-        match self.backend {
-            Some(choice) => simd::backend_for(choice),
-            None => simd::active(),
-        }
+        self.sim.backend()
     }
 
     /// Execute `circuit` on every member of `states`, gate-major.
     ///
     /// Results are bit-identical to running each member through a
-    /// *serial* single-run [`Simulator`](crate::sim::Simulator) with
-    /// the same strategy and backend — regardless of this engine's
-    /// thread count, because work is sharded at (member × block)
-    /// granularity and every cell executes the serial kernel sequence.
+    /// *serial* single-run [`Simulator`] with the same strategy and
+    /// backend — regardless of this engine's thread count, because work
+    /// is sharded at (member × block) granularity and every cell
+    /// executes the serial kernel sequence.
     pub fn run(
         &self,
         circuit: &Circuit,
@@ -270,17 +186,8 @@ impl BatchSimulator {
                 "batch needs at least 1 member state (got an empty batch)".to_string(),
             ));
         }
-        if members > MAX_BATCH {
-            return Err(SimError::InvalidConfig(format!(
-                "batch of {members} members exceeds the limit of {MAX_BATCH}"
-            )));
-        }
-        let n = circuit.n_qubits();
-        for s in states.iter() {
-            if s.n_qubits() != n {
-                return Err(SimError::QubitMismatch { circuit: n, state: s.n_qubits() });
-            }
-        }
+        check_members(members)?;
+        check_widths(circuit.n_qubits(), states)?;
         if circuit.has_nonunitary() {
             return Err(SimError::InvalidConfig(
                 "circuit contains measurement or classically-controlled ops; use \
@@ -288,198 +195,47 @@ impl BatchSimulator {
                     .to_string(),
             ));
         }
-        let len = 1usize << n;
-        let be = self.backend();
+        // `Auto` resolves exactly as the single-run engine resolves it,
+        // so a batched run stays bit-identical to its sequential members.
+        let strategy = self.sim.resolved(circuit);
         let batch_id = next_batch_id();
-        // One tracer per member: spans stay attributable, and each
-        // member's trace is a drop-in for the single-run trace of the
-        // same circuit.
-        let tracers: Option<Vec<Tracer>> = if self.telemetry.enabled {
-            let (chip, cfg) = self
-                .chip
-                .clone()
-                .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            Some(
-                (0..members)
-                    .map(|_| {
-                        Tracer::new(n, self.threads(), chip.clone(), cfg, self.telemetry.capacity)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let ex = self.sim.execute(self.strategy(), Some(batch_id), states, &[], None, || {
+            vec![lower_with(circuit, strategy, crate::calibrate::Calibration::get)]
+        })?;
+        Ok(self.report(
+            batch_id,
+            members,
+            circuit,
+            ex.programs[0].sweeps(),
+            ex.wall_seconds,
+            ex.traces,
+        ))
+    }
 
-        enum BatchPrep {
-            Naive,
-            Fused(Vec<FusedOp>),
-            Blocked(Vec<BlockItem>, u32),
-            Planned(Plan),
-        }
-
-        // `Auto` resolves to a concrete strategy per circuit from the
-        // calibrated model, exactly as the single-run engine does — so a
-        // batched run stays bit-identical to its sequential members.
-        let strategy = match self.strategy {
-            Strategy::Auto => crate::calibrate::choose(circuit),
-            s => s,
-        };
-        let start = Instant::now();
-        // Planning products are built ONCE and shared by every member —
-        // the amortization the batch engine exists for.
-        let prep = match strategy {
-            Strategy::Naive => BatchPrep::Naive,
-            Strategy::Fused { max_k } => {
-                // Same cost-aware lowering as the single-run engine, so
-                // batched members stay bit-identical to serial runs.
-                let costs = crate::calibrate::Calibration::get().fuse_costs();
-                BatchPrep::Fused(fuse_costed(circuit, max_k, &costs))
-            }
-            Strategy::Blocked { block_qubits } => {
-                let bq = block_qubits.min(n);
-                BatchPrep::Blocked(build_block_items(circuit, bq, self.telemetry.enabled), bq)
-            }
-            Strategy::Planned { block_qubits, max_k } => {
-                BatchPrep::Planned(plan_circuit(circuit, block_qubits, max_k))
-            }
-            Strategy::Auto => unreachable!("Auto resolved to a concrete strategy above"),
-        };
-        let ptrs: Vec<AmpPtr> =
-            states.iter_mut().map(|s| AmpPtr(s.amplitudes_mut().as_mut_ptr())).collect();
-        let trs = tracers.as_deref();
-        let sweeps = match &prep {
-            BatchPrep::Naive => {
-                for g in circuit.gates() {
-                    self.sweep_full(
-                        &ptrs,
-                        len,
-                        trs,
-                        |amps| exec_gate(be, None, self.sched, amps, g),
-                        |t, ns| t.record_gate(0, g, ns),
-                    );
-                }
-                circuit.len()
-            }
-            BatchPrep::Fused(ops) => {
-                // Each op is lowered once and its specialized form
-                // reused across every member sweep.
-                for (op, prep) in ops.iter().zip(ops.iter().map(PreparedFused::new)) {
-                    self.sweep_full(
-                        &ptrs,
-                        len,
-                        trs,
-                        |amps| prep.apply(be, amps),
-                        |t, ns| t.record_fused(0, op, ns),
-                    );
-                }
-                ops.len()
-            }
-            BatchPrep::Blocked(items, bq) => {
-                for item in items {
-                    match item {
-                        BlockItem::Run(bgs, shadow) => {
-                            self.sweep_blocked(be, &ptrs, len, *bq, bgs, shadow, trs);
-                        }
-                        BlockItem::Single(gi) => {
-                            let g = &circuit.gates()[*gi];
-                            self.sweep_full(
-                                &ptrs,
-                                len,
-                                trs,
-                                |amps| exec_gate(be, None, self.sched, amps, g),
-                                |t, ns| t.record_gate(0, g, ns),
-                            );
-                        }
-                    }
-                }
-                items.len()
-            }
-            BatchPrep::Planned(plan) => {
-                for op in &plan.ops {
-                    match op {
-                        // Untraced block passes get the fine (member ×
-                        // block) grid; traced ones fall through to the
-                        // per-member path so each member's pass is timed
-                        // as one span.
-                        PlanOp::Block(ops) if trs.is_none() => {
-                            let prepared = PreparedRun::new(ops, plan.block_qubits);
-                            let block = prepared.block_len();
-                            let grid = CellGrid::new(members, len / block);
-                            for_each_cell(self.pool.as_deref(), self.sched, grid, |m, b| {
-                                // SAFETY: cells are disjoint (member,
-                                // block) slices; the region barrier ends
-                                // all access before the next sweep.
-                                let chunk = unsafe { ptrs[m].slice(b * block, block) };
-                                prepared.apply_chunk(be, chunk);
-                            });
-                        }
-                        op => {
-                            self.sweep_full(
-                                &ptrs,
-                                len,
-                                trs,
-                                |amps| {
-                                    exec_plan_op(be, None, self.sched, amps, op, plan.block_qubits)
-                                },
-                                |t, ns| match op {
-                                    PlanOp::SwapAxes(a, b) => {
-                                        t.record_kernel(0, KernelKind::Swap, &[*a, *b], ns)
-                                    }
-                                    PlanOp::Block(ops) => t.record_block_pass(0, ops, ns),
-                                    PlanOp::Gate(g) => t.record_gate(0, g, ns),
-                                },
-                            );
-                        }
-                    }
-                }
-                plan.sweeps
-            }
-        };
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        let mut traces: Vec<Trace> = Vec::new();
-        if let Some(ts) = tracers {
-            for (m, t) in ts.into_iter().enumerate() {
-                let meta = RunMeta {
-                    strategy: self.strategy.to_string(),
-                    backend: be.name.to_string(),
-                    threads: self.threads() as u32,
-                    schedule: self.sched.to_string(),
-                    n_qubits: n,
-                    label: member_label(&self.telemetry.label, batch_id, m),
-                };
-                let trace = t.finish(meta);
-                // Member 0 honors the configured truncate/append choice;
-                // later members append, so one batched run lands in the
-                // JSONL sink as one contiguous group.
-                let sink_cfg = if m == 0 {
-                    self.telemetry.clone()
-                } else {
-                    self.telemetry.clone().appending(true)
-                };
-                telemetry::write_configured(&sink_cfg, &trace).map_err(|e| {
-                    SimError::TraceIo(match &self.telemetry.trace_path {
-                        Some(p) => format!("{}: {e}", p.display()),
-                        None => e.to_string(),
-                    })
-                })?;
-                traces.push(trace);
-            }
-        }
-
-        let predicted =
-            self.chip.as_ref().map(|(chip, cfg)| predict_batched(chip, cfg, circuit, members));
-        Ok(BatchReport {
+    fn report(
+        &self,
+        batch_id: u64,
+        members: usize,
+        circuit: &Circuit,
+        sweeps: usize,
+        wall_seconds: f64,
+        traces: Vec<Trace>,
+    ) -> BatchReport {
+        BatchReport {
             batch_id,
             wall_seconds,
             members,
             gates: circuit.len(),
             sweeps,
-            backend: be.name,
+            backend: self.backend().name,
             circuits_per_sec: if wall_seconds > 0.0 { members as f64 / wall_seconds } else { 0.0 },
-            predicted,
+            predicted: self
+                .sim
+                .chip
+                .as_ref()
+                .map(|(chip, cfg)| predict_batched(chip, cfg, circuit, members)),
             traces,
-        })
+        }
     }
 
     /// Run `circuit` on [`batch_size`](BatchSimulator::batch_size)
@@ -502,10 +258,9 @@ impl BatchSimulator {
     /// ([`crate::variational`]): the gate stream stays hot along the
     /// batch axis while each member applies its own angles.
     ///
-    /// Every member executes the serial naive kernel sequence, so
-    /// member `m`'s final state is bit-identical to running
-    /// `circuits[m]` through a serial `Strategy::Naive`
-    /// [`Simulator`](crate::sim::Simulator).
+    /// Each member runs its own naive program, so member `m`'s final
+    /// state is bit-identical to running `circuits[m]` through a serial
+    /// `Strategy::Naive` [`Simulator`].
     pub fn run_sweep(
         &self,
         circuits: &[Circuit],
@@ -518,13 +273,8 @@ impl BatchSimulator {
                 circuits.len()
             )));
         }
-        if members > MAX_BATCH {
-            return Err(SimError::InvalidConfig(format!(
-                "batch of {members} members exceeds the limit of {MAX_BATCH}"
-            )));
-        }
-        let n = circuits[0].n_qubits();
-        let gate_count = circuits[0].len();
+        check_members(members)?;
+        let (n, gate_count) = (circuits[0].n_qubits(), circuits[0].len());
         for c in circuits {
             if c.n_qubits() != n || c.len() != gate_count {
                 return Err(SimError::InvalidConfig(format!(
@@ -542,95 +292,15 @@ impl BatchSimulator {
                 ));
             }
         }
-        for s in states.iter() {
-            if s.n_qubits() != n {
-                return Err(SimError::QubitMismatch { circuit: n, state: s.n_qubits() });
-            }
-        }
-        let len = 1usize << n;
-        let be = self.backend();
+        check_widths(n, states)?;
         let batch_id = next_batch_id();
-        let tracers: Option<Vec<Tracer>> = if self.telemetry.enabled {
-            let (chip, cfg) = self
-                .chip
-                .clone()
-                .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            Some(
-                (0..members)
-                    .map(|_| {
-                        Tracer::new(n, self.threads(), chip.clone(), cfg, self.telemetry.capacity)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let start = Instant::now();
-        let ptrs: Vec<AmpPtr> =
-            states.iter_mut().map(|s| AmpPtr(s.amplitudes_mut().as_mut_ptr())).collect();
-        let trs = tracers.as_deref();
-        for j in 0..gate_count {
-            for_each_cell(
-                self.pool.as_deref(),
-                self.sched,
-                CellGrid::per_member(members),
-                |m, _| {
-                    // SAFETY: cell (m, 0) is the only cell touching
-                    // member m's amplitudes; the region barrier ends all
-                    // access before the next sweep.
-                    let amps = unsafe { ptrs[m].slice(0, len) };
-                    let g = &circuits[m].gates()[j];
-                    match trs {
-                        Some(ts) => {
-                            let t0 = Instant::now();
-                            exec_gate(be, None, self.sched, amps, g);
-                            ts[m].record_gate(0, g, t0.elapsed().as_nanos() as u64);
-                        }
-                        None => exec_gate(be, None, self.sched, amps, g),
-                    }
-                },
-            );
-        }
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let mut traces: Vec<Trace> = Vec::new();
-        if let Some(ts) = tracers {
-            for (m, t) in ts.into_iter().enumerate() {
-                let meta = RunMeta {
-                    strategy: "naive".to_string(),
-                    backend: be.name.to_string(),
-                    threads: self.threads() as u32,
-                    schedule: self.sched.to_string(),
-                    n_qubits: n,
-                    label: member_label(&self.telemetry.label, batch_id, m),
-                };
-                let trace = t.finish(meta);
-                let sink_cfg = if m == 0 {
-                    self.telemetry.clone()
-                } else {
-                    self.telemetry.clone().appending(true)
-                };
-                telemetry::write_configured(&sink_cfg, &trace).map_err(|e| {
-                    SimError::TraceIo(match &self.telemetry.trace_path {
-                        Some(p) => format!("{}: {e}", p.display()),
-                        None => e.to_string(),
-                    })
-                })?;
-                traces.push(trace);
-            }
-        }
-        let predicted =
-            self.chip.as_ref().map(|(chip, cfg)| predict_batched(chip, cfg, &circuits[0], members));
-        Ok(BatchReport {
-            batch_id,
-            wall_seconds,
-            members,
-            gates: gate_count,
-            sweeps: gate_count,
-            backend: be.name,
-            circuits_per_sec: if wall_seconds > 0.0 { members as f64 / wall_seconds } else { 0.0 },
-            predicted,
-            traces,
-        })
+        let ex = self.sim.execute(Strategy::Naive, Some(batch_id), states, &[], None, || {
+            circuits
+                .iter()
+                .map(|c| lower_with(c, Strategy::Naive, crate::calibrate::Calibration::get))
+                .collect()
+        })?;
+        Ok(self.report(batch_id, members, &circuits[0], gate_count, ex.wall_seconds, ex.traces))
     }
 
     /// Execute one circuit containing [`Gate::Measure`] /
@@ -639,13 +309,16 @@ impl BatchSimulator {
     /// `StdRng::seed_from_u64(seeds[m])`, one draw per `Measure`, in
     /// circuit order.
     ///
-    /// Every member therefore produces the bit-identical state,
-    /// outcome list, and classical register a serial
-    /// [`Simulator::run_measured`](crate::sim::Simulator::run_measured)
-    /// call with `Strategy::Naive` and the same seed produces —
-    /// regardless of this engine's thread count. Unitary gates run
-    /// naive gate-major (a collapse is a barrier at every gate, so no
-    /// per-member lowering products exist to amortize).
+    /// The circuit is lowered once under the configured strategy, one
+    /// unitary segment at a time, exactly as
+    /// [`Simulator::run_measured`] lowers it. Every member therefore
+    /// produces the bit-identical state, outcome list, and classical
+    /// register a serial `run_measured` call with the same strategy,
+    /// backend and seed produces — regardless of this engine's thread
+    /// count.
+    ///
+    /// [`Gate::Measure`]: crate::circuit::Gate::Measure
+    /// [`Gate::Cif`]: crate::circuit::Gate::Cif
     pub fn run_measured(
         &self,
         circuit: &Circuit,
@@ -660,64 +333,15 @@ impl BatchSimulator {
                 seeds.len()
             )));
         }
-        if members > MAX_BATCH {
-            return Err(SimError::InvalidConfig(format!(
-                "batch of {members} members exceeds the limit of {MAX_BATCH}"
-            )));
-        }
-        let n = circuit.n_qubits();
-        for s in states.iter() {
-            if s.n_qubits() != n {
-                return Err(SimError::QubitMismatch { circuit: n, state: s.n_qubits() });
-            }
-        }
-        let be = self.backend();
+        check_members(members)?;
+        check_widths(circuit.n_qubits(), states)?;
+        let strategy = self.sim.resolved(circuit);
         let batch_id = next_batch_id();
-        let start = Instant::now();
-        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let mut cregs: Vec<u64> = vec![0; members];
-        let mut outcomes: Vec<Vec<MeasurementResult>> = vec![Vec::new(); members];
-        {
-            let states_ptr = RowPtr(states.as_mut_ptr());
-            let rngs_ptr = RowPtr(rngs.as_mut_ptr());
-            let cregs_ptr = RowPtr(cregs.as_mut_ptr());
-            let outcomes_ptr = RowPtr(outcomes.as_mut_ptr());
-            for g in circuit.gates() {
-                for_each_cell(
-                    self.pool.as_deref(),
-                    self.sched,
-                    CellGrid::per_member(members),
-                    |m, _| {
-                        // SAFETY: the per-member grid hands row `m` of
-                        // every table to exactly this cell; the region
-                        // barrier orders all writes before the next
-                        // gate's cells (or the caller) read them.
-                        let state = unsafe { states_ptr.at(m) };
-                        match g {
-                            Gate::Measure { q, creg: bit } => {
-                                let rng = unsafe { rngs_ptr.at(m) };
-                                let r = measure_qubit(state, *q, rng);
-                                let cr = unsafe { cregs_ptr.at(m) };
-                                if r.outcome == 1 {
-                                    *cr |= 1 << bit;
-                                } else {
-                                    *cr &= !(1 << bit);
-                                }
-                                unsafe { outcomes_ptr.at(m) }.push(r);
-                            }
-                            Gate::Cif { mask, val, gate } => {
-                                let cr = *unsafe { cregs_ptr.at(m) };
-                                if cr & *mask == *val {
-                                    exec_gate(be, None, self.sched, state.amplitudes_mut(), gate);
-                                }
-                            }
-                            g => exec_gate(be, None, self.sched, state.amplitudes_mut(), g),
-                        }
-                    },
-                );
-            }
-        }
-        Ok(MeasuredBatch { batch_id, wall_seconds: start.elapsed().as_secs_f64(), outcomes, cregs })
+        let ex = self.sim.execute(self.strategy(), Some(batch_id), states, seeds, None, || {
+            vec![lower_with(circuit, strategy, crate::calibrate::Calibration::get)]
+        })?;
+        let (cregs, outcomes) = ex.runs.into_iter().map(|r| (r.creg, r.outcomes)).unzip();
+        Ok(MeasuredBatch { batch_id, wall_seconds: ex.wall_seconds, outcomes, cregs })
     }
 
     /// Sample one noisy trajectory per seed, batched: member `m` starts
@@ -762,29 +386,14 @@ impl BatchSimulator {
         let n = circuit.n_qubits();
         let batch_id = next_batch_id();
         let start = Instant::now();
-        let mut states: Vec<StateVector> = members.iter().map(|_| StateVector::zero(n)).collect();
-        let mut rngs: Vec<StdRng> =
-            members.iter().map(|&(_, seed)| StdRng::seed_from_u64(seed)).collect();
-        let mut errors: Vec<usize> = vec![0; members.len()];
-        {
-            let states_ptr = RowPtr(states.as_mut_ptr());
-            let rngs_ptr = RowPtr(rngs.as_mut_ptr());
-            let errors_ptr = RowPtr(errors.as_mut_ptr());
-            for_each_cell(
-                self.pool.as_deref(),
-                self.sched,
-                CellGrid::per_member(members.len()),
-                |m, _| {
-                    // SAFETY: the per-member grid hands row `m` of every
-                    // table to exactly this cell; the region barrier
-                    // orders all writes before the tables are read below.
-                    let state = unsafe { states_ptr.at(m) };
-                    let rng = unsafe { rngs_ptr.at(m) };
-                    let errs = unsafe { errors_ptr.at(m) };
-                    *errs = run_trajectory(circuit, state, members[m].0, rng);
-                },
-            );
-        }
+        let mut rows: Vec<(StateVector, StdRng, usize)> = members
+            .iter()
+            .map(|&(_, seed)| (StateVector::zero(n), StdRng::seed_from_u64(seed), 0))
+            .collect();
+        self.sim.executor(true).each_row(&mut rows, |m, (state, rng, errors)| {
+            *errors = run_trajectory(circuit, state, members[m].0, rng);
+        });
+        let (states, errors) = rows.into_iter().map(|(state, _, errors)| (state, errors)).unzip();
         Ok(TrajectoryBatch {
             batch_id,
             wall_seconds: start.elapsed().as_secs_f64(),
@@ -792,79 +401,16 @@ impl BatchSimulator {
             errors,
         })
     }
+}
 
-    /// One full-state sweep across all members (one cell per member).
-    /// Each cell runs the *serial* kernel path; when tracing, the cell
-    /// also times itself and records into its member's tracer.
-    fn sweep_full<A, R>(
-        &self,
-        ptrs: &[AmpPtr],
-        len: usize,
-        tracers: Option<&[Tracer]>,
-        apply: A,
-        record: R,
-    ) where
-        A: Fn(&mut [C64]) + Sync,
-        R: Fn(&Tracer, u64) + Sync,
-    {
-        for_each_cell(
-            self.pool.as_deref(),
-            self.sched,
-            CellGrid::per_member(ptrs.len()),
-            |m, _| {
-                // SAFETY: cell (m, 0) is the only cell touching member m's
-                // amplitudes; the region barrier ends all access on return.
-                let amps = unsafe { ptrs[m].slice(0, len) };
-                match tracers {
-                    Some(ts) => {
-                        let t0 = Instant::now();
-                        apply(amps);
-                        record(&ts[m], t0.elapsed().as_nanos() as u64);
-                    }
-                    None => apply(amps),
-                }
-            },
-        );
+/// A batch may hold at most [`MAX_BATCH`] members.
+fn check_members(members: usize) -> Result<(), SimError> {
+    if members > MAX_BATCH {
+        return Err(SimError::InvalidConfig(format!(
+            "batch of {members} members exceeds the limit of {MAX_BATCH}"
+        )));
     }
-
-    /// One blocked run across all members. Untraced: the fine (member ×
-    /// block) grid, each cell applying the identical per-chunk serial
-    /// path. Traced: one cell per member so the run is timed as a
-    /// single span per member, exactly like a single run's trace.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_blocked(
-        &self,
-        be: &KernelBackend,
-        ptrs: &[AmpPtr],
-        len: usize,
-        block_qubits: u32,
-        gates: &[BlockGate],
-        shadow: &[(KernelKind, Vec<u32>)],
-        tracers: Option<&[Tracer]>,
-    ) {
-        match tracers {
-            Some(ts) => {
-                let grid = CellGrid::per_member(ptrs.len());
-                for_each_cell(self.pool.as_deref(), self.sched, grid, |m, _| {
-                    // SAFETY: one cell per member; see `sweep_full`.
-                    let amps = unsafe { ptrs[m].slice(0, len) };
-                    let t0 = Instant::now();
-                    exec_block_run(be, None, self.sched, amps, gates, block_qubits);
-                    ts[m].record_block_run(0, shadow, t0.elapsed().as_nanos() as u64);
-                });
-            }
-            None => {
-                let block = 1usize << block_qubits;
-                let grid = CellGrid::new(ptrs.len(), len / block);
-                for_each_cell(self.pool.as_deref(), self.sched, grid, |m, b| {
-                    // SAFETY: cells are disjoint (member, block) slices;
-                    // the region barrier ends all access on return.
-                    let chunk = unsafe { ptrs[m].slice(b * block, block) };
-                    apply_block_chunk(be, chunk, gates);
-                });
-            }
-        }
-    }
+    Ok(())
 }
 
 impl Default for BatchSimulator {
@@ -873,31 +419,13 @@ impl Default for BatchSimulator {
     }
 }
 
-impl std::fmt::Debug for BatchSimulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchSimulator")
-            .field("strategy", &self.strategy)
-            .field("threads", &self.threads())
-            .field("schedule", &self.sched)
-            .field("batch", &self.default_batch)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Trace label for one member: `[<base>/]batch=<id>/member=<m>`.
-fn member_label(base: &str, batch_id: u64, member: usize) -> String {
-    if base.is_empty() {
-        format!("batch={batch_id}/member={member}")
-    } else {
-        format!("{base}/batch={batch_id}/member={member}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::telemetry::TelemetryConfig;
     use crate::testing::random_circuit_seeded;
+    use a64fx_model::timing::ExecConfig;
+    use a64fx_model::ChipParams;
     use rand::Rng;
 
     fn all_strategies() -> Vec<Strategy> {
@@ -958,6 +486,27 @@ mod tests {
             for (g, e) in got.iter().zip(&expect) {
                 assert!(g.approx_eq(e, 0.0), "strategy {strategy} diverged under threads");
             }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // spawns worker threads
+    fn lone_member_threaded_batch_is_bit_identical_to_serial() {
+        // A single run shares each sweep out across the pool, which may
+        // round differently from the serial kernels; a one-member batch
+        // must still run the serial sequence. n = 12 makes worksharing
+        // split sweeps at strides where that rounding shows.
+        let circuit = random_circuit_seeded(12, 60, 23);
+        for strategy in all_strategies() {
+            let cfg = SimConfig::default().strategy(strategy);
+            let mut expect = random_members(12, 1, 77);
+            Simulator::from_config(cfg.clone().serial())
+                .unwrap()
+                .run(&circuit, &mut expect[0])
+                .unwrap();
+            let mut got = random_members(12, 1, 77);
+            BatchSimulator::from_config(cfg.threads(3)).unwrap().run(&circuit, &mut got).unwrap();
+            assert!(got[0].approx_eq(&expect[0], 0.0), "strategy {strategy}");
         }
     }
 

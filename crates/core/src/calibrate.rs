@@ -8,10 +8,10 @@
 //! On first use it runs a micro-benchmark on the actual machine — one
 //! timed sweep per kernel cost kind, at two state sizes so the
 //! per-amplitude slope and the per-sweep overhead separate — and caches
-//! the result process-wide. [`predict_strategy_ns`] then prices any
-//! strategy for any circuit from those measured constants, and
-//! [`choose`] (the engine behind [`Strategy::Auto`]) picks the cheapest
-//! candidate per circuit.
+//! the result process-wide. [`predict_strategy_ns`] then prices, from
+//! those measured constants, the [`Program`] any strategy lowers any
+//! circuit to, and [`choose`] (the engine behind [`Strategy::Auto`])
+//! picks the cheapest candidate per circuit.
 //!
 //! Under Miri, or with `QCS_CALIBRATE=analytic`, measurement is skipped
 //! and deterministic analytic defaults are used instead.
@@ -22,12 +22,12 @@ use std::time::Instant;
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
 use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedClass, FusedOp};
-use crate::kernels::blocked::{apply_blocked, apply_blocked_fused, BlockGate};
+use crate::kernels::blocked::{apply_blocked, apply_blocked_fused};
 use crate::kernels::dispatch::apply_gate_with;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::{self, KernelBackend};
-use crate::plan::{plan_circuit_with, PlanOp};
-use crate::sim::{build_block_items, BlockItem, Strategy};
+use crate::program::{lower, Op, Program};
+use crate::sim::Strategy;
 use crate::state::StateVector;
 
 /// State sizes the micro-benchmark sweeps: the big size must spill the
@@ -136,17 +136,12 @@ impl Calibration {
     }
 
     /// Per-amp cost one member contributes to a cache-blocked pass: its
-    /// arithmetic above the stream floor, plus whatever share of the
-    /// stream this host fails to amortize across the pass (see
-    /// [`Calibration::block_stream_factor`]).
-    fn in_block_per_amp(&self, c: f64) -> f64 {
-        (c - self.stream).max(0.1 * c) + self.block_stream_factor * c.min(self.stream)
-    }
-
-    /// [`Calibration::in_block_per_amp`] for the planner's fused block
-    /// passes, which pay [`Calibration::fused_block_stream_factor`].
-    fn in_fused_block_per_amp(&self, c: f64) -> f64 {
-        (c - self.stream).max(0.1 * c) + self.fused_block_stream_factor * c.min(self.stream)
+    /// arithmetic above the stream floor, plus the share `factor` of the
+    /// stream the pass's engine fails to amortize on this host
+    /// ([`Calibration::block_stream_factor`] for blocked runs,
+    /// [`Calibration::fused_block_stream_factor`] for fused block passes).
+    fn in_block_per_amp(&self, c: f64, factor: f64) -> f64 {
+        (c - self.stream).max(0.1 * c) + factor * c.min(self.stream)
     }
 
     /// In-block variant for the planner: the cost table rewritten to
@@ -154,7 +149,7 @@ impl Calibration {
     /// (the same member pricing `block_pass_ns` charges), so in-block
     /// fusion decisions agree with the pass pricing.
     pub fn block_fuse_costs(&self) -> FuseCosts {
-        let arith = |c: f64| self.in_fused_block_per_amp(c);
+        let arith = |c: f64| self.in_block_per_amp(c, self.fused_block_stream_factor);
         let full = self.fuse_costs();
         FuseCosts {
             gate_1q_dense: arith(full.gate_1q_dense),
@@ -370,9 +365,9 @@ fn measure(be: &'static KernelBackend) -> Calibration {
             ((target - stream - arith) / streamable.max(1e-6)).clamp(0.0, 1.5)
         };
 
-        let items = build_block_items(&c, bq, false);
-        let bgs = match &items[..] {
-            [BlockItem::Run(bgs, _)] => bgs.clone(),
+        let program = lower(&c, Strategy::Blocked { block_qubits: bq }, &cal);
+        let bgs = match &program.ops[..] {
+            [Op::BlockRun(bgs)] => bgs.clone(),
             _ => unreachable!("probe circuit builds one blocked run"),
         };
         let t_block = time_sweep(big, |a| apply_blocked(be, a, &bgs, bq));
@@ -392,8 +387,13 @@ fn measure(be: &'static KernelBackend) -> Calibration {
 
 /// Calibrated ns/amp of one naive sweep of `g`.
 pub(crate) fn gate_per_amp(cal: &Calibration, g: &Gate) -> f64 {
+    kind_per_amp(cal, crate::perf::classify(g))
+}
+
+/// Calibrated ns/amp of one sweep of a kernel kind.
+fn kind_per_amp(cal: &Calibration, kind: a64fx_model::traffic::KernelKind) -> f64 {
     use a64fx_model::traffic::KernelKind;
-    match crate::perf::classify(g) {
+    match kind {
         KernelKind::OneQubitDiagonal => cal.gate_1q_diag,
         KernelKind::OneQubitDense => cal.gate_1q_dense,
         KernelKind::ControlledDense => cal.gate_controlled,
@@ -430,96 +430,59 @@ pub(crate) fn fused_per_amp(cal: &Calibration, op: &FusedOp) -> f64 {
     }
 }
 
-/// Calibrated ns/amp of one member of a cache-blocked run.
-fn block_gate_per_amp(cal: &Calibration, g: &BlockGate) -> f64 {
-    match g {
-        BlockGate::One(..) => cal.gate_1q_dense,
-        BlockGate::Diag1(..) => cal.gate_1q_diag,
-        BlockGate::Controlled(..) => cal.gate_controlled,
-        BlockGate::Two(..) => cal.gate_2q_dense,
-        BlockGate::Swap(..) => cal.swap,
-    }
-}
-
 /// A pass that applies `per_amp_costs` members out of cache-resident
 /// blocks pays one memory stream plus each member's in-block
-/// contribution: arithmetic above the stream floor, plus the stream
-/// share this host fails to amortize.
+/// contribution: arithmetic above the stream floor, plus the `factor`
+/// share of the stream this host fails to amortize.
 pub(crate) fn block_pass_ns(
     cal: &Calibration,
     amps: f64,
+    factor: f64,
     per_amp_costs: impl Iterator<Item = f64>,
 ) -> f64 {
-    let members: f64 = per_amp_costs.map(|c| cal.in_block_per_amp(c)).sum();
-    cal.sweep_overhead_ns + amps * (cal.stream + members)
-}
-
-/// [`block_pass_ns`] for the planner's fused block passes, which run
-/// through the fused-op block engine and pay its own measured stream
-/// share.
-pub(crate) fn fused_block_pass_ns(
-    cal: &Calibration,
-    amps: f64,
-    per_amp_costs: impl Iterator<Item = f64>,
-) -> f64 {
-    let members: f64 = per_amp_costs.map(|c| cal.in_fused_block_per_amp(c)).sum();
+    let members: f64 = per_amp_costs.map(|c| cal.in_block_per_amp(c, factor)).sum();
     cal.sweep_overhead_ns + amps * (cal.stream + members)
 }
 
 /// Predicted nanoseconds to execute `circuit` with `strategy` (serial),
-/// from the calibrated per-kernel costs. `Auto` prices as its resolved
-/// choice.
+/// from the calibrated per-kernel costs: the price of the [`Program`]
+/// the strategy lowers to. `Auto` prices as its resolved choice.
 pub fn predict_strategy_ns(cal: &Calibration, circuit: &Circuit, strategy: Strategy) -> f64 {
     predict_strategy(cal, circuit, strategy).0
 }
 
 /// Predicted wall time plus the number of full-state sweeps the lowered
-/// strategy executes. The sweep count falls out of the same lowering
-/// the price does, so [`choose`] gets its tie-break metric for free.
-fn predict_strategy(cal: &Calibration, circuit: &Circuit, strategy: Strategy) -> (f64, usize) {
-    let amps = (1u64 << circuit.n_qubits()) as f64;
+/// program executes, so [`choose`] gets its tie-break metric for free.
+pub fn predict_strategy(cal: &Calibration, circuit: &Circuit, strategy: Strategy) -> (f64, usize) {
+    let program = lower(circuit, strategy, cal);
+    (price(cal, &program), program.sweeps())
+}
+
+/// Calibrated serial nanoseconds of one program: a full-state sweep per
+/// op at its kernel's cost, a blocked pass as one stream plus its
+/// members' in-block contributions.
+fn price(cal: &Calibration, program: &Program) -> f64 {
+    let amps = (1u64 << program.n_qubits) as f64;
     let sweep = |per_amp: f64| cal.sweep_overhead_ns + amps * per_amp;
-    match strategy {
-        Strategy::Naive => {
-            (circuit.gates().iter().map(|g| sweep(gate_per_amp(cal, g))).sum(), circuit.len())
-        }
-        Strategy::Fused { max_k } => {
-            // Price the lowering the engine actually executes: the
-            // cost-aware plan built from this same calibration.
-            let plan = fuse_costed(circuit, max_k, &cal.fuse_costs());
-            (plan.iter().map(|op| sweep(fused_per_amp(cal, op))).sum(), plan.len())
-        }
-        Strategy::Blocked { block_qubits } => {
-            let b = block_qubits.min(circuit.n_qubits());
-            let items = build_block_items(circuit, b, false);
-            let ns = items
-                .iter()
-                .map(|item| match item {
-                    BlockItem::Run(bgs, _) => {
-                        block_pass_ns(cal, amps, bgs.iter().map(|g| block_gate_per_amp(cal, g)))
-                    }
-                    BlockItem::Single(gi) => sweep(gate_per_amp(cal, &circuit.gates()[*gi])),
-                })
-                .sum();
-            (ns, items.len())
-        }
-        Strategy::Planned { block_qubits, max_k } => {
-            let plan = plan_circuit_with(circuit, block_qubits, max_k, cal);
-            let ns = plan
-                .ops
-                .iter()
-                .map(|op| match op {
-                    PlanOp::SwapAxes(..) => sweep(cal.swap),
-                    PlanOp::Gate(g) => sweep(gate_per_amp(cal, g)),
-                    PlanOp::Block(ops) => {
-                        fused_block_pass_ns(cal, amps, ops.iter().map(|op| fused_per_amp(cal, op)))
-                    }
-                })
-                .sum();
-            (ns, plan.sweeps)
-        }
-        Strategy::Auto => predict_strategy(cal, circuit, choose(circuit)),
-    }
+    program
+        .ops
+        .iter()
+        .map(|op| match op {
+            Op::Gate(g) | Op::Cif { gate: g, .. } => sweep(gate_per_amp(cal, g)),
+            Op::Fused(f) => sweep(fused_per_amp(cal, f)),
+            Op::BlockRun(gates) => {
+                let costs = gates.iter().map(|g| kind_per_amp(cal, g.kind()));
+                block_pass_ns(cal, amps, cal.block_stream_factor, costs)
+            }
+            Op::SwapAxes(..) => sweep(cal.swap),
+            Op::Block(ops) => {
+                let costs = ops.iter().map(|op| fused_per_amp(cal, op));
+                block_pass_ns(cal, amps, cal.fused_block_stream_factor, costs)
+            }
+            // A probability pass plus a collapse pass, both streaming.
+            Op::Measure { .. } => 2.0 * sweep(cal.stream),
+        })
+        .sum()
 }
 
 /// The concrete strategies [`choose`] prices against each other for an
@@ -551,7 +514,11 @@ pub fn candidates(n: u32) -> Vec<Strategy> {
 /// it. The sweep reduction must be meaningful (≥ 10 %) so a trivial
 /// difference cannot override the price order.
 pub fn choose(circuit: &Circuit) -> Strategy {
-    let cal = Calibration::get();
+    choose_with(circuit, Calibration::get())
+}
+
+/// [`choose`] priced with an explicit calibration.
+pub(crate) fn choose_with(circuit: &Circuit, cal: &Calibration) -> Strategy {
     let scored: Vec<(f64, usize, Strategy)> = candidates(circuit.n_qubits())
         .into_iter()
         .map(|s| {

@@ -7,14 +7,13 @@
 //! the cache-blocking optimization state-vector simulators use when the
 //! state exceeds L2.
 
-use omp_par::{Schedule, ThreadPool};
+use a64fx_model::traffic::KernelKind;
 
 use crate::complex::C64;
 use crate::fusion::FusedOp;
 use crate::gates::matrices::{Mat2, Mat4};
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::{self, KernelBackend};
-use crate::kernels::AmpPtr;
 
 /// A gate in a blocked run, restricted to the shapes that commute with
 /// block decomposition (all-qubit indices below the block width).
@@ -30,11 +29,27 @@ pub enum BlockGate {
 impl BlockGate {
     /// Highest qubit index the gate touches.
     pub fn max_qubit(&self) -> u32 {
+        self.qubits().into_iter().max().expect("every block gate touches a qubit")
+    }
+
+    /// The qubits the gate touches.
+    pub fn qubits(&self) -> Vec<u32> {
         match *self {
-            BlockGate::One(q, _) | BlockGate::Diag1(q, ..) => q,
+            BlockGate::One(q, _) | BlockGate::Diag1(q, ..) => vec![q],
             BlockGate::Controlled(a, b, _) | BlockGate::Two(a, b, _) | BlockGate::Swap(a, b) => {
-                a.max(b)
+                vec![a, b]
             }
+        }
+    }
+
+    /// The kernel the gate sweeps with, in the traffic model's taxonomy.
+    pub fn kind(&self) -> KernelKind {
+        match self {
+            BlockGate::One(..) => KernelKind::OneQubitDense,
+            BlockGate::Diag1(..) => KernelKind::OneQubitDiagonal,
+            BlockGate::Controlled(..) => KernelKind::ControlledDense,
+            BlockGate::Two(..) => KernelKind::TwoQubitDense,
+            BlockGate::Swap(..) => KernelKind::Swap,
         }
     }
 
@@ -72,45 +87,13 @@ pub fn apply_blocked(be: &KernelBackend, amps: &mut [C64], gates: &[BlockGate], 
 }
 
 /// Apply one run of block gates to a single cache-resident chunk — the
-/// per-cell unit both the worksharing loops here and the batched
-/// (member × block) engine dispatch, so every path performs the
+/// per-cell unit the executor dispatches for serial, workshared and
+/// batched (member × block) passes alike, so every path performs the
 /// identical per-amplitude arithmetic.
 pub fn apply_block_chunk(be: &KernelBackend, chunk: &mut [C64], gates: &[BlockGate]) {
     for g in gates {
         g.apply(be, chunk);
     }
-}
-
-/// Apply a run of low-target gates block by block, worksharing the
-/// disjoint blocks across a thread pool.
-pub fn apply_blocked_parallel(
-    be: &KernelBackend,
-    pool: &ThreadPool,
-    sched: Schedule,
-    amps: &mut [C64],
-    gates: &[BlockGate],
-    block_qubits: u32,
-) {
-    let block = 1usize << block_qubits;
-    assert!(block <= amps.len(), "block larger than the state");
-    for g in gates {
-        assert!(
-            g.max_qubit() < block_qubits,
-            "gate touches qubit {} outside a {}-qubit block",
-            g.max_qubit(),
-            block_qubits
-        );
-    }
-    let n_blocks = amps.len() / block;
-    let p = AmpPtr(amps.as_mut_ptr());
-    pool.parallel_for(0..n_blocks, sched, move |chunk| {
-        for bi in chunk {
-            // SAFETY: blocks are disjoint `2^block_qubits` slices; each
-            // block index lands in exactly one chunk.
-            let slice = unsafe { p.slice(bi * block, block) };
-            apply_block_chunk(be, slice, gates);
-        }
-    });
 }
 
 fn prepare_fused(ops: &[FusedOp], block_qubits: u32) -> Vec<PreparedFused<'_>> {
@@ -128,9 +111,9 @@ fn prepare_fused(ops: &[FusedOp], block_qubits: u32) -> Vec<PreparedFused<'_>> {
 }
 
 /// A run of fused ops lowered exactly once for repeated per-chunk
-/// application. The batched engine prepares each plan block one time
-/// and re-walks the same offset tables for every (member, block) cell,
-/// which is what amortizes the gate-stream setup across the batch.
+/// application. The executor prepares each block pass one time and
+/// re-walks the same offset tables for every (member, block) cell,
+/// which is what amortizes the gate-stream setup across a batch.
 pub struct PreparedRun<'a> {
     ops: Vec<PreparedFused<'a>>,
     block: usize,
@@ -175,34 +158,6 @@ pub fn apply_blocked_fused(
     }
 }
 
-/// Parallel twin of [`apply_blocked_fused`]: blocks are disjoint
-/// `2^block_qubits` slices, workshared across the pool.
-pub fn apply_blocked_fused_parallel(
-    be: &KernelBackend,
-    pool: &ThreadPool,
-    sched: Schedule,
-    amps: &mut [C64],
-    ops: &[FusedOp],
-    block_qubits: u32,
-) {
-    let block = 1usize << block_qubits;
-    assert!(block <= amps.len(), "block larger than the state");
-    let prepared = prepare_fused(ops, block_qubits);
-    let n_blocks = amps.len() / block;
-    let p = AmpPtr(amps.as_mut_ptr());
-    let prepared_ref = &prepared;
-    pool.parallel_for(0..n_blocks, sched, move |chunk| {
-        for bi in chunk {
-            // SAFETY: blocks are disjoint `2^block_qubits` slices; each
-            // block index lands in exactly one chunk.
-            let slice = unsafe { p.slice(bi * block, block) };
-            for op in prepared_ref {
-                op.apply(be, slice);
-            }
-        }
-    });
-}
-
 /// Memory sweeps saved by blocking a run of `n_gates` gates into one
 /// block pass: the per-gate sweep count drops from `n_gates` to 1.
 pub fn sweeps_saved(n_gates: usize) -> usize {
@@ -214,7 +169,9 @@ mod tests {
     use super::*;
     use crate::gates::standard;
     use crate::kernels::scalar;
+    use crate::program::{Executor, Op, Program};
     use crate::state::StateVector;
+    use omp_par::{Schedule, ThreadPool};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -233,6 +190,20 @@ mod tests {
             v.push(b);
         }
         v
+    }
+
+    /// One pooled member through the executor: the pass is workshared
+    /// block by block across the pool.
+    fn run_pooled(
+        op: Op,
+        block_qubits: u32,
+        pool: &ThreadPool,
+        sched: Schedule,
+        s: &mut StateVector,
+    ) {
+        let program = Program { ops: vec![op], n_qubits: s.n_qubits(), block_qubits };
+        let exec = Executor { be: simd::active(), pool: Some(pool), sched, batched: false };
+        exec.run(&[program], std::slice::from_mut(s), &[], None, &mut None).unwrap();
     }
 
     fn sequential(be: &KernelBackend, amps: &mut [C64], gates: &[BlockGate]) {
@@ -328,7 +299,7 @@ mod tests {
                 let mut a = rand_state(10, 31);
                 let mut b = a.clone();
                 apply_blocked_fused(be, a.amplitudes_mut(), &ops, 5);
-                apply_blocked_fused_parallel(be, &pool, sched, b.amplitudes_mut(), &ops, 5);
+                run_pooled(Op::Block(ops.clone()), 5, &pool, sched, &mut b);
                 assert!(a.approx_eq(&b, EPS), "threads={threads}");
             }
         }
@@ -348,14 +319,7 @@ mod tests {
             let mut a = rand_state(10, 13);
             let mut b = a.clone();
             apply_blocked(be, a.amplitudes_mut(), &gates, 4);
-            apply_blocked_parallel(
-                be,
-                &pool,
-                Schedule::default_static(),
-                b.amplitudes_mut(),
-                &gates,
-                4,
-            );
+            run_pooled(Op::BlockRun(gates.clone()), 4, &pool, Schedule::default_static(), &mut b);
             assert!(a.approx_eq(&b, EPS), "threads={threads}");
         }
     }

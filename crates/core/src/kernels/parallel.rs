@@ -213,7 +213,7 @@ pub fn apply_2q(
 /// Parallel SWAP kernel; see [`crate::kernels::scalar::apply_swap`].
 ///
 /// Also the execution kernel for the planner's axis-relabeling sweeps
-/// ([`crate::plan::PlanOp::SwapAxes`]): a pure permutation, no flops.
+/// ([`crate::program::Op::SwapAxes`]): a pure permutation, no flops.
 pub fn apply_swap(
     pool: &ThreadPool,
     sched: Schedule,

@@ -18,6 +18,9 @@
 //! * [`library`] — benchmark circuit generators (QFT, GHZ, random,
 //!   quantum volume, Trotterized Ising, QAOA, Grover).
 //! * [`measure`] / [`expectation`] — sampling and observables.
+//! * [`program`] — the one lowering (`lower(circuit, strategy)` →
+//!   [`Program`](program::Program)) and the one executor every run,
+//!   batch, pricer and model prediction shares.
 //! * [`sim`] — the execution engine tying strategies, threading, and the
 //!   A64FX performance model together.
 //! * [`perf`] — per-gate traffic/time prediction hooks into
@@ -73,6 +76,7 @@ pub mod optimize;
 pub mod outcome;
 pub mod perf;
 pub mod plan;
+pub mod program;
 pub mod qasm;
 pub mod sim;
 pub mod state;

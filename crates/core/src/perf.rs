@@ -12,9 +12,12 @@ use a64fx_model::timing::{predict, Bottleneck, ExecConfig, KernelProfile};
 use a64fx_model::traffic::{GateTraffic, KernelKind, TrafficModel, AMP_BYTES};
 use a64fx_model::ChipParams;
 
+use crate::calibrate::Calibration;
 use crate::circuit::{Circuit, Gate};
 use crate::fusion::FusedOp;
-use crate::plan::{Plan, PlanOp};
+use crate::kernels::blocked::BlockGate;
+use crate::program::{lower_with, Op, Program};
+use crate::sim::Strategy;
 
 /// Map a gate to the kernel-kind taxonomy of the traffic model.
 pub fn classify(gate: &Gate) -> KernelKind {
@@ -139,7 +142,7 @@ pub fn predict_sweep(
 /// Traffic of one cache-blocked pass: a single full-state memory sweep
 /// carrying the summed arithmetic of every fused op it applies (the ops
 /// run out of cache-resident blocks). Returns `None` for an empty run.
-/// Shared by [`predict_planned`] and the telemetry layer.
+/// Shared by [`predict_program`] and the telemetry layer.
 pub fn block_pass_traffic(
     model: &TrafficModel,
     n: u32,
@@ -166,95 +169,46 @@ pub fn block_pass_traffic(
 }
 
 /// Traffic of one cache-blocked run of unfused gates: one full-state
-/// memory sweep, with each member gate contributing its own arithmetic.
-/// Returns `None` for an empty run.
+/// memory sweep, with each member gate contributing the arithmetic of
+/// the kernel it runs. Returns `None` for an empty run.
 pub fn blocked_run_traffic(
     model: &TrafficModel,
     n: u32,
-    members: &[(KernelKind, Vec<u32>)],
+    gates: &[BlockGate],
 ) -> Option<(KernelKind, GateTraffic)> {
-    let (first_kind, first_qubits) = members.first()?;
+    let first = gates.first()?;
     let amps = 1u64 << n;
     // The sweep streams every line once regardless of which member gate
     // is densest; borrow the dense 1q formula for the memory side.
-    let mut traffic = model.predict(KernelKind::OneQubitDense, n, &[first_qubits[0]]);
-    traffic.flops = members.iter().map(|(kind, qs)| model.predict(*kind, n, qs).flops).sum();
-    traffic.amps_read = amps * members.len() as u64;
+    let mut traffic = model.predict(KernelKind::OneQubitDense, n, &first.qubits()[..1]);
+    traffic.flops = gates.iter().map(|g| model.predict(g.kind(), n, &g.qubits()).flops).sum();
+    traffic.amps_read = amps * gates.len() as u64;
     traffic.amps_written = amps;
     traffic.arithmetic_intensity =
         if traffic.mem_bytes == 0 { 0.0 } else { traffic.flops as f64 / traffic.mem_bytes as f64 };
-    Some((*first_kind, traffic))
-}
-
-fn accumulate(
-    report: &mut ModelReport,
-    chip: &ChipParams,
-    cfg: &ExecConfig,
-    kind: KernelKind,
-    traffic: GateTraffic,
-    n: u32,
-    model: &TrafficModel,
-) {
-    let p = predict_sweep(chip, cfg, model, kind, &traffic, n);
-    report.seconds += p.seconds;
-    report.mem_bytes += traffic.mem_bytes;
-    report.flops += traffic.flops;
-    report.sweeps += 1;
-    *report.bottlenecks.entry(p.bottleneck).or_insert(0) += 1;
+    Some((first.kind(), traffic))
 }
 
 /// Predict a gate-by-gate (naive) execution of `circuit` on a state of
 /// the circuit's width.
 pub fn predict_circuit(chip: &ChipParams, cfg: &ExecConfig, circuit: &Circuit) -> ModelReport {
-    let model = TrafficModel::new(chip.clone());
-    let n = circuit.n_qubits();
-    let mut report = ModelReport {
-        seconds: 0.0,
-        mem_bytes: 0,
-        flops: 0,
-        sweeps: 0,
-        bottlenecks: BTreeMap::new(),
-    };
-    for g in circuit.gates() {
-        let kind = classify(g);
-        let traffic = model.predict(kind, n, &g.qubits());
-        accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-    }
-    report
+    // The naive lowering prices nothing: the calibration is never read.
+    predict_program(chip, cfg, &lower_with(circuit, Strategy::Naive, Calibration::get))
 }
 
-/// Predict execution of a fused plan on an `n`-qubit state.
-pub fn predict_fused(chip: &ChipParams, cfg: &ExecConfig, plan: &[FusedOp], n: u32) -> ModelReport {
-    let model = TrafficModel::new(chip.clone());
-    let mut report = ModelReport {
-        seconds: 0.0,
-        mem_bytes: 0,
-        flops: 0,
-        sweeps: 0,
-        bottlenecks: BTreeMap::new(),
-    };
-    for op in plan {
-        let kind = match &op.gate {
-            // A gate-backed singleton sweeps through its own kernel.
-            Some(g) => classify(g),
-            None => KernelKind::FusedDense { k: op.qubits.len() as u8 },
-        };
-        let traffic = model.predict(kind, n, &op.qubits);
-        accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-    }
-    report
-}
-
-/// Predict a planned execution (see [`crate::plan`]).
+/// Predict the execution of a lowered [`Program`] — the sweeps the
+/// engine actually runs, so `sweeps` equals the run's own count.
 ///
-/// Axis relabelings are flop-free half-state sweeps; each block pass is
-/// *one* full-state memory sweep carrying the summed arithmetic of every
-/// fused op it applies (the ops run out of cache-resident blocks);
-/// fallback gates predict as in [`predict_circuit`]. The reduced sweep
-/// count is what makes the planner win on low-qubit-dense circuits.
-pub fn predict_planned(chip: &ChipParams, cfg: &ExecConfig, plan: &Plan) -> ModelReport {
+/// Gate sweeps and `Cif` gates price as in [`predict_circuit`]; a fused
+/// op as its `FusedDense{k}` sweep (a gate-backed singleton as its own
+/// kernel); axis relabelings as flop-free swap sweeps; each blocked pass
+/// as *one* full-state memory sweep carrying the summed arithmetic of
+/// every member it applies out of cache-resident blocks — the reduced
+/// sweep count is what makes blocking and planning win. Measurements add
+/// their probability + collapse traffic but are not sweeps.
+pub fn predict_program(chip: &ChipParams, cfg: &ExecConfig, program: &Program) -> ModelReport {
     let model = TrafficModel::new(chip.clone());
-    let n = plan.n_qubits;
+    let n = program.n_qubits;
     let mut report = ModelReport {
         seconds: 0.0,
         mem_bytes: 0,
@@ -262,26 +216,31 @@ pub fn predict_planned(chip: &ChipParams, cfg: &ExecConfig, plan: &Plan) -> Mode
         sweeps: 0,
         bottlenecks: BTreeMap::new(),
     };
-    for op in &plan.ops {
-        match op {
-            PlanOp::SwapAxes(a, b) => {
-                let kind = KernelKind::Swap;
-                let traffic = model.predict(kind, n, &[*a, *b]);
-                accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
+    let gate = |g: &Gate| Some((classify(g), model.predict(classify(g), n, &g.qubits())));
+    for op in &program.ops {
+        let priced = match op {
+            Op::Gate(g) | Op::Cif { gate: g, .. } => gate(g),
+            // A gate-backed fused singleton sweeps through its own kernel.
+            Op::Fused(FusedOp { gate: Some(g), .. }) => gate(g),
+            Op::Fused(f) => {
+                let kind = KernelKind::FusedDense { k: f.qubits.len() as u8 };
+                Some((kind, model.predict(kind, n, &f.qubits)))
             }
-            PlanOp::Gate(g) => {
-                let kind = classify(g);
-                let traffic = model.predict(kind, n, &g.qubits());
-                accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
+            Op::BlockRun(gates) => blocked_run_traffic(&model, n, gates),
+            Op::SwapAxes(a, b) => {
+                Some((KernelKind::Swap, model.predict(KernelKind::Swap, n, &[*a, *b])))
             }
-            PlanOp::Block(ops) => {
-                let Some((kind, traffic)) = block_pass_traffic(&model, n, ops) else {
-                    continue;
-                };
-                accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-            }
-        }
+            Op::Block(ops) => block_pass_traffic(&model, n, ops),
+            Op::Measure { .. } => Some((KernelKind::OneQubitDiagonal, measure_traffic(&model, n))),
+        };
+        let Some((kind, traffic)) = priced else { continue };
+        let p = predict_sweep(chip, cfg, &model, kind, &traffic, n);
+        report.seconds += p.seconds;
+        report.mem_bytes += traffic.mem_bytes;
+        report.flops += traffic.flops;
+        *report.bottlenecks.entry(p.bottleneck).or_insert(0) += 1;
     }
+    report.sweeps = program.sweeps();
     report
 }
 
@@ -363,15 +322,6 @@ pub fn predict_measure(
     let traffic = measure_traffic(&model, n);
     let p = predict_sweep(chip, cfg, &model, KernelKind::OneQubitDiagonal, &traffic, n);
     (traffic, p)
-}
-
-/// Calibrated twin of the analytic predictors: price a strategy for
-/// `circuit` from the machine's *measured* per-kernel costs
-/// ([`crate::calibrate`]) instead of A64FX datasheet constants — the
-/// numbers `Strategy::Auto` actually ranks candidates with. Returns
-/// predicted serial nanoseconds.
-pub fn predict_calibrated_ns(circuit: &Circuit, strategy: crate::sim::Strategy) -> f64 {
-    crate::calibrate::predict_strategy_ns(crate::calibrate::Calibration::get(), circuit, strategy)
 }
 
 /// Approximate latency of warming a cold gate stream before a sweep can
@@ -658,8 +608,7 @@ mod tests {
         let c = library::rotation_layers(26, 4, 0.3);
         let cfg = ExecConfig::full_chip();
         let naive = predict_circuit(&chip(), &cfg, &c);
-        let plan = fuse(&c, 4);
-        let fused = predict_fused(&chip(), &cfg, &plan, 26);
+        let fused = predict_program(&chip(), &cfg, &Program::from_fused(26, fuse(&c, 4)));
         assert!(fused.sweeps < naive.sweeps);
         assert!(
             fused.seconds < naive.seconds / 2.0,

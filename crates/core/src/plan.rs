@@ -1,11 +1,11 @@
-//! The planned execution strategy: qubit remapping + cache-blocked runs.
+//! The planned execution strategy: qubit relabeling + cache-blocked runs.
 //!
 //! [`crate::sim::Strategy::Blocked`] only wins when the circuit happens
 //! to keep its gates below the block width — a gate on a high qubit
 //! forces a full-state fallback sweep. This pass removes that luck
 //! factor: it walks the circuit with a logical→physical qubit
-//! [`Permutation`] (the local analogue of `qcs-dist`'s
-//! `MappedDistState`), and when a run of gates fits in `block_qubits`
+//! [`Permutation`] (the local analogue of the permutation `qcs-dist`'s
+//! reorder plan tracks across ranks), and when a run of gates fits in `block_qubits`
 //! *logical* qubits but sits on high *physical* axes, it inserts cheap
 //! axis-swap relabeling sweeps that pull the run down onto low physical
 //! qubits. The run then executes as one cache-resident block pass, with
@@ -22,14 +22,15 @@
 //! block side wins. A final normalization restores the identity layout
 //! so callers see logical amplitudes.
 
-use crate::calibrate::{fused_block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
+use crate::calibrate::{block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
 use crate::circuit::{Circuit, Gate};
-use crate::fusion::{fuse_costed, FusedOp};
+use crate::fusion::fuse_costed;
+use crate::program::Op;
 
 /// A logical→physical qubit permutation.
 ///
 /// `phys_of[logical]` is the physical axis currently holding that
-/// logical qubit, exactly as in `qcs-dist::remap`.
+/// logical qubit, exactly as in `qcs-dist`'s reorder plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     phys_of: Vec<u32>,
@@ -94,23 +95,14 @@ impl Permutation {
     }
 }
 
-/// One step of a planned execution. Gates inside are already remapped to
-/// *physical* qubit indices under the layout in force at that step.
-#[derive(Debug, Clone)]
-pub enum PlanOp {
-    /// Relabeling sweep: swap two physical amplitude axes.
-    SwapAxes(u32, u32),
-    /// One cache-blocked pass applying fused ops (all on physical qubits
-    /// below the block width) block by block.
-    Block(Vec<FusedOp>),
-    /// Full-state fallback sweep for a gate not worth blocking.
-    Gate(Box<Gate>),
-}
-
 /// A planned execution of a circuit.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    pub ops: Vec<PlanOp>,
+    /// The steps, on *physical* qubit indices under the layout in
+    /// force at each step: [`Op::SwapAxes`] relabelings, [`Op::Block`]
+    /// passes of fused ops below the block width, and [`Op::Gate`]
+    /// full-state fallback sweeps.
+    pub ops: Vec<Op>,
     pub n_qubits: u32,
     pub block_qubits: u32,
     /// Full-state sweeps the plan executes (swap and fallback sweeps
@@ -126,7 +118,7 @@ impl Plan {
         self.ops
             .iter()
             .map(|op| match op {
-                PlanOp::Block(fops) => fops.iter().map(|f| f.n_gates).sum(),
+                Op::Block(fops) => fops.iter().map(|f| f.n_gates).sum(),
                 _ => 0,
             })
             .sum()
@@ -134,12 +126,12 @@ impl Plan {
 
     /// Fallback full-state gate sweeps.
     pub fn gates_fallback(&self) -> usize {
-        self.ops.iter().filter(|op| matches!(op, PlanOp::Gate(_))).count()
+        self.ops.iter().filter(|op| matches!(op, Op::Gate(_))).count()
     }
 
     /// Block passes in the plan.
     pub fn blocks(&self) -> usize {
-        self.ops.iter().filter(|op| matches!(op, PlanOp::Block(_))).count()
+        self.ops.iter().filter(|op| matches!(op, Op::Block(_))).count()
     }
 }
 
@@ -210,7 +202,7 @@ pub fn plan_circuit_with(
 
 struct Planner<'c> {
     perm: Permutation,
-    ops: Vec<PlanOp>,
+    ops: Vec<Op>,
     sweeps: usize,
     swaps_inserted: usize,
     block_qubits: u32,
@@ -221,7 +213,7 @@ struct Planner<'c> {
 impl Planner<'_> {
     fn emit_fallback(&mut self, gate: &Gate) {
         let perm = &self.perm;
-        self.ops.push(PlanOp::Gate(Box::new(gate.remap(|q| perm.phys(q)))));
+        self.ops.push(Op::Gate(gate.remap(|q| perm.phys(q))));
         self.sweeps += 1;
     }
 
@@ -264,7 +256,12 @@ impl Planner<'_> {
         let sweep = |per_amp: f64| cal.sweep_overhead_ns + amps * per_amp;
         let naive_ns: f64 = run.iter().map(|g| sweep(gate_per_amp(cal, g))).sum();
         let block_ns = 2.0 * swaps.len() as f64 * sweep(cal.swap)
-            + fused_block_pass_ns(cal, amps, fused.iter().map(|op| fused_per_amp(cal, op)));
+            + block_pass_ns(
+                cal,
+                amps,
+                cal.fused_block_stream_factor,
+                fused.iter().map(|op| fused_per_amp(cal, op)),
+            );
         // Relocation risk is asymmetric under calibration noise: a wrong
         // fallback forgoes a small win, a wrong commit pays the swaps
         // AND the low-stride block passes. Swap-bearing routes must
@@ -279,13 +276,13 @@ impl Planner<'_> {
             return;
         }
         for (from, target) in swaps {
-            self.ops.push(PlanOp::SwapAxes(from, target));
+            self.ops.push(Op::SwapAxes(from, target));
             self.sweeps += 1;
             self.swaps_inserted += 1;
         }
         self.perm = perm;
         run.clear();
-        self.ops.push(PlanOp::Block(fused));
+        self.ops.push(Op::Block(fused));
         self.sweeps += 1;
         support.clear();
     }
@@ -295,7 +292,7 @@ impl Planner<'_> {
         for logical in 0..self.perm.len() as u32 {
             let phys = self.perm.phys(logical);
             if phys != logical {
-                self.ops.push(PlanOp::SwapAxes(phys, logical));
+                self.ops.push(Op::SwapAxes(phys, logical));
                 self.perm.swap_phys(phys, logical);
                 self.sweeps += 1;
                 self.swaps_inserted += 1;
@@ -374,7 +371,7 @@ mod tests {
             let plan = plan(&c, 4, 4);
             let mut p = Permutation::identity(8);
             for op in &plan.ops {
-                if let PlanOp::SwapAxes(a, b) = op {
+                if let Op::SwapAxes(a, b) = op {
                     p.swap_phys(*a, *b);
                 }
             }
@@ -457,7 +454,7 @@ mod tests {
             let c = library::random_circuit(8, 60, seed);
             let plan = plan(&c, 5, 3);
             for op in &plan.ops {
-                if let PlanOp::Block(fops) = op {
+                if let Op::Block(fops) = op {
                     for f in fops {
                         assert!(f.qubits.iter().all(|&q| q < 5), "{:?}", f.qubits);
                         assert!(f.qubits.len() <= 3, "{:?}", f.qubits);

@@ -347,14 +347,21 @@ fn parse_gate(stmt: &str, qreg: &str, line: usize) -> Result<Gate, QasmError> {
 
 // ----- angle-expression evaluator (numbers, pi, + - * /, parens) --------
 
+/// Deepest nesting of parentheses and unary signs an angle expression
+/// may use. Each level is one recursive `factor` call, so the bound keeps
+/// hostile input (`((((…1…))))`, `-----…1`) from overflowing the stack.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 struct ExprParser<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     line: usize,
+    /// Nested `factor` calls in progress.
+    depth: usize,
 }
 
 /// Evaluate an angle expression like `-3*pi/4` or `(pi + 1.5)/2`.
 pub fn eval_expr(text: &str, line: usize) -> Result<f64, QasmError> {
-    let mut p = ExprParser { chars: text.chars().peekable(), line };
+    let mut p = ExprParser { chars: text.chars().peekable(), line, depth: 0 };
     let v = p.expr()?;
     p.skip_ws();
     if p.chars.peek().is_some() {
@@ -411,6 +418,20 @@ impl ExprParser<'_> {
     }
 
     fn factor(&mut self) -> Result<f64, QasmError> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(err(
+                self.line,
+                format!("expression nests parentheses or signs deeper than {MAX_EXPR_DEPTH}"),
+            ));
+        }
+        self.depth += 1;
+        let v = self.operand();
+        self.depth -= 1;
+        v
+    }
+
+    /// A signed, parenthesized or atomic operand.
+    fn operand(&mut self) -> Result<f64, QasmError> {
         self.skip_ws();
         match self.chars.peek().copied() {
             Some('-') => {
@@ -640,6 +661,25 @@ mod tests {
         assert!(eval_expr("foo", 1).is_err());
         assert!(eval_expr("1 +", 1).is_err());
         assert!(eval_expr("(1", 1).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let deep = 50_000;
+        for src in [
+            format!("qreg q[1];\nrz({}1{}) q[0];", "(".repeat(deep), ")".repeat(deep)),
+            format!("qreg q[1];\nrz({}1) q[0];", "-".repeat(deep)),
+            format!("qreg q[1];\nrz({}1) q[0];", "+-".repeat(deep / 2)),
+        ] {
+            let e = parse(&src).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains("deeper than"), "{}", e.message);
+        }
+        // Anything within the bound still evaluates.
+        let ok = MAX_EXPR_DEPTH - 1;
+        let v = eval_expr(&format!("{}2{}", "(".repeat(ok), ")".repeat(ok)), 1).unwrap();
+        assert_eq!(v, 2.0);
+        assert_eq!(eval_expr(&format!("{}2", "-".repeat(ok)), 1).unwrap(), -2.0);
     }
 
     #[test]

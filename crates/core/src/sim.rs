@@ -1,29 +1,27 @@
 //! The execution engine: strategies, threading, timing, and model hooks.
+//!
+//! Every entry point here (and in [`crate::batch`]) lowers its circuit
+//! with [`crate::program::lower`] and runs the resulting
+//! [`Program`] through the one executor, so single runs, batches and
+//! measured runs share validation, tracing and the sweep loop.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use a64fx_model::timing::ExecConfig;
-use a64fx_model::traffic::KernelKind;
 use a64fx_model::ChipParams;
 use omp_par::{RegionObserver, Schedule, ThreadPool};
 
+use crate::calibrate::Calibration;
 use crate::checkpoint::{Checkpointer, ShardMeta};
-use crate::circuit::{Circuit, Gate};
+use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::config::{CheckpointConfig, PoolSpec, SimConfig};
-use crate::fusion::{fuse_costed, FusedOp};
 use crate::integrity::{self, IntegrityMode, IntegrityPolicy, IntegrityViolation, Outcome};
-use crate::kernels::blocked::{
-    apply_blocked, apply_blocked_fused, apply_blocked_fused_parallel, apply_blocked_parallel,
-    BlockGate,
-};
-use crate::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with};
-use crate::kernels::fused::PreparedFused;
-use crate::kernels::parallel;
 use crate::kernels::simd::{self, BackendChoice, KernelBackend};
-use crate::perf::{predict_circuit, predict_fused, predict_planned, ModelReport};
-use crate::plan::{plan_circuit, Plan, PlanOp};
+use crate::measure::MeasurementResult;
+use crate::perf::{predict_program, ModelReport};
+use crate::program::{lower_with, Executor, MemberRun, Program};
 use crate::state::StateVector;
 use crate::telemetry::{self, RunMeta, TelemetryConfig, Trace, Tracer};
 
@@ -171,7 +169,7 @@ enum GuardAction {
 /// snapshots, and rollback-and-replay recovery. Built only when the
 /// configuration asks for it — a disabled guard is `None` all the way
 /// down and the executors pay a single `Option` branch per item.
-struct RunGuard {
+pub(crate) struct RunGuard {
     policy: IntegrityPolicy,
     ckpt: Option<(Checkpointer, usize)>,
     n_qubits: u32,
@@ -249,6 +247,15 @@ impl RunGuard {
             _ => Err(violation.into()),
         }
     }
+
+    /// The op index to execute after op `i`: the guard work due after
+    /// `i` runs first, and a rollback rewinds the index instead.
+    pub(crate) fn advance(&mut self, amps: &mut [C64], i: usize) -> Result<usize, SimError> {
+        Ok(match self.after_item(amps, i)? {
+            GuardAction::Continue => i + 1,
+            GuardAction::Restored(step) => step,
+        })
+    }
 }
 
 /// Execution report of one run.
@@ -258,18 +265,44 @@ pub struct RunReport {
     pub wall_seconds: f64,
     /// Gates in the source circuit.
     pub gates: usize,
-    /// State sweeps actually executed (= gates for naive, fewer for
-    /// fused/blocked).
+    /// State sweeps the lowered program executes (= gates for naive,
+    /// fewer for fused/blocked/planned).
     pub sweeps: usize,
     /// Name of the SIMD kernel backend that executed the sweeps
     /// (`"avx2"`, `"neon"`, or `"portable"`).
     pub backend: &'static str,
-    /// A64FX-model prediction, when a chip model is attached.
+    /// A64FX-model prediction of the executed program, when a chip
+    /// model is attached.
     pub predicted: Option<ModelReport>,
     /// The full telemetry trace, when telemetry is enabled.
     pub trace: Option<Trace>,
     /// Resilience-guard activity, when integrity sweeps or
     /// checkpointing were enabled.
+    pub guard: Option<GuardReport>,
+}
+
+/// Report of one [`Simulator::run_measured`] execution.
+#[derive(Debug, Clone)]
+pub struct MeasuredReport {
+    /// Measured wall time of the host execution.
+    pub wall_seconds: f64,
+    /// Gates (unitary + non-unitary) in the source circuit.
+    pub gates: usize,
+    /// Maximal unitary segments executed between collapse barriers.
+    pub segments: usize,
+    /// State sweeps across all unitary segments plus taken `Cif` gates
+    /// (measurement collapse passes are not counted here).
+    pub sweeps: usize,
+    /// Every projective measurement, in circuit order.
+    pub outcomes: Vec<MeasurementResult>,
+    /// Final classical register: bit `creg` of each `Measure` holds its
+    /// observed outcome.
+    pub creg: u64,
+    /// Name of the SIMD kernel backend that executed the sweeps.
+    pub backend: &'static str,
+    /// The full telemetry trace, when telemetry is enabled.
+    pub trace: Option<Trace>,
+    /// Resilience-guard activity, when integrity sweeps were enabled.
     pub guard: Option<GuardReport>,
 }
 
@@ -279,7 +312,7 @@ pub struct Simulator {
     strategy: Strategy,
     pool: Option<Arc<ThreadPool>>,
     sched: Schedule,
-    chip: Option<(ChipParams, ExecConfig)>,
+    pub(crate) chip: Option<(ChipParams, ExecConfig)>,
     backend: Option<BackendChoice>,
     telemetry: TelemetryConfig,
     integrity: IntegrityPolicy,
@@ -290,20 +323,20 @@ pub struct Simulator {
     auto_cache: Arc<Mutex<Option<(u64, Strategy)>>>,
 }
 
+/// Everything one execution produced, before it is shaped into a
+/// report.
+pub(crate) struct Executed {
+    pub wall_seconds: f64,
+    pub programs: Vec<Program>,
+    pub runs: Vec<MemberRun>,
+    pub traces: Vec<Trace>,
+    pub guard: Option<GuardReport>,
+}
+
 impl Simulator {
     /// Single-threaded, gate-by-gate, no model, telemetry off.
     pub fn new() -> Simulator {
-        Simulator {
-            strategy: Strategy::Naive,
-            pool: None,
-            sched: Schedule::default_static(),
-            chip: None,
-            backend: None,
-            telemetry: TelemetryConfig::off(),
-            integrity: IntegrityPolicy::default(),
-            checkpoint: None,
-            auto_cache: Arc::new(Mutex::new(None)),
-        }
+        Simulator::from_config(SimConfig::default()).expect("the default configuration is valid")
     }
 
     /// Build an engine from a validated [`SimConfig`] — the primary
@@ -368,17 +401,26 @@ impl Simulator {
         }
     }
 
-    /// Execute `circuit` on `state`.
-    /// Resolve [`Strategy::Auto`] for `circuit`, memoized on a
-    /// structural fingerprint so repeated runs of the same circuit
-    /// (benchmark rounds, batch replicas) skip re-pricing every
-    /// candidate lowering. A stale entry only costs one re-pricing;
-    /// a fingerprint hit on a different circuit is impossible short
-    /// of a hash collision, which would still execute correctly —
-    /// the choice affects speed, never semantics.
-    fn resolve_auto(&self, circuit: &Circuit) -> Strategy {
+    /// Where this engine's programs run, with or without batch
+    /// semantics.
+    pub(crate) fn executor(&self, batched: bool) -> Executor<'_> {
+        let pool = self.pool.as_deref();
+        Executor { be: self.backend(), pool, sched: self.sched, batched }
+    }
+
+    /// The configured strategy with [`Strategy::Auto`] resolved for
+    /// `circuit`, memoized on a structural fingerprint so repeated runs
+    /// of the same circuit (benchmark rounds, batch replicas) skip
+    /// re-pricing every candidate lowering. A stale entry only costs
+    /// one re-pricing; a fingerprint hit on a different circuit is
+    /// impossible short of a hash collision, which would still execute
+    /// correctly — the choice affects speed, never semantics.
+    pub(crate) fn resolved(&self, circuit: &Circuit) -> Strategy {
         use std::fmt::Write as _;
         use std::hash::{Hash, Hasher};
+        if self.strategy != Strategy::Auto {
+            return self.strategy;
+        }
         let mut buf = String::with_capacity(circuit.len() * 24);
         for g in circuit.gates() {
             let _ = write!(buf, "{g:?};");
@@ -398,13 +440,10 @@ impl Simulator {
         s
     }
 
+    /// Execute `circuit` on `state`.
     pub fn run(&self, circuit: &Circuit, state: &mut StateVector) -> Result<RunReport, SimError> {
-        if circuit.n_qubits() != state.n_qubits() {
-            return Err(SimError::QubitMismatch {
-                circuit: circuit.n_qubits(),
-                state: state.n_qubits(),
-            });
-        }
+        let n = circuit.n_qubits();
+        check_widths(n, std::slice::from_ref(state))?;
         if circuit.has_nonunitary() {
             return Err(SimError::InvalidConfig(
                 "circuit contains measurement or classically-controlled ops; run it \
@@ -413,139 +452,39 @@ impl Simulator {
                     .to_string(),
             ));
         }
-        let be = self.backend();
-        // Telemetry setup stays outside the timed region; when disabled
-        // the run pays exactly one `Option` branch per sweep.
-        let tracer = if self.telemetry.enabled {
-            let (chip, cfg) = self
-                .chip
-                .clone()
-                .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            let t = Arc::new(Tracer::new(
-                circuit.n_qubits(),
-                self.threads(),
-                chip,
-                cfg,
-                self.telemetry.capacity,
-            ));
-            if let Some(pool) = &self.pool {
-                pool.set_observer(Some(t.clone() as Arc<dyn RegionObserver>));
-            }
-            Some(t)
-        } else {
-            None
-        };
-        let tr = tracer.as_deref();
-        let mut guard =
-            RunGuard::new(&self.integrity, self.checkpoint.as_ref(), circuit.n_qubits())?;
-        // `Auto` resolves to a concrete strategy per circuit from the
-        // calibrated cost model — outside the timed region, because the
-        // one-time process-wide calibration is not part of this run.
-        let strategy = match self.strategy {
-            Strategy::Auto => self.resolve_auto(circuit),
-            s => s,
-        };
-        let start = Instant::now();
-        let (sweeps, prep) = self.execute_circuit(be, strategy, circuit, state, tr, &mut guard)?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let predicted = self.chip.as_ref().map(|(chip, cfg)| match &prep {
-            Prep::Direct => predict_circuit(chip, cfg, circuit),
-            Prep::Fused(ops) => predict_fused(chip, cfg, ops, circuit.n_qubits()),
-            Prep::Planned(plan) => predict_planned(chip, cfg, plan),
-        });
-        let trace = match tracer {
-            Some(t) => Some(self.finish_trace(t, be, circuit.n_qubits())?),
-            None => None,
-        };
+        let guard = RunGuard::new(&self.integrity, self.checkpoint.as_ref(), n)?;
+        // `Auto` resolves outside the timed region: the one-time
+        // process-wide calibration is not part of this run.
+        let strategy = self.resolved(circuit);
+        let mut ex =
+            self.execute(self.strategy, None, std::slice::from_mut(state), &[], guard, || {
+                vec![lower_with(circuit, strategy, Calibration::get)]
+            })?;
+        let program = &ex.programs[0];
         Ok(RunReport {
-            wall_seconds,
+            wall_seconds: ex.wall_seconds,
             gates: circuit.len(),
-            sweeps,
-            backend: be.name,
-            predicted,
-            trace,
-            guard: guard.map(|g| g.report),
+            sweeps: program.sweeps(),
+            backend: self.backend().name,
+            predicted: self.chip.as_ref().map(|(chip, cfg)| predict_program(chip, cfg, program)),
+            trace: ex.traces.pop(),
+            guard: ex.guard,
         })
-    }
-
-    /// Execute one unitary circuit under a *concrete* strategy (`Auto`
-    /// resolves here, per circuit). Shared by [`Simulator::run`] and the
-    /// per-segment loop of [`Simulator::run_measured`].
-    fn execute_circuit(
-        &self,
-        be: &KernelBackend,
-        strategy: Strategy,
-        circuit: &Circuit,
-        state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<(usize, Prep), SimError> {
-        Ok(match strategy {
-            Strategy::Naive => (self.run_naive(be, circuit, state, tr, guard)?, Prep::Direct),
-            Strategy::Fused { max_k } => {
-                // Cost-aware lowering: merge only where the calibrated
-                // block kernel beats the member gates' own kernels.
-                let costs = crate::calibrate::Calibration::get().fuse_costs();
-                let ops = fuse_costed(circuit, max_k, &costs);
-                (self.run_fused_ops(be, &ops, state, tr, guard)?, Prep::Fused(ops))
-            }
-            Strategy::Blocked { block_qubits } => {
-                (self.run_blocked(be, circuit, state, block_qubits, tr, guard)?, Prep::Direct)
-            }
-            Strategy::Planned { block_qubits, max_k } => {
-                let plan = plan_circuit(circuit, block_qubits, max_k);
-                (self.run_planned(be, &plan, state, tr, guard)?, Prep::Planned(plan))
-            }
-            Strategy::Auto => {
-                let s = self.resolve_auto(circuit);
-                return self.execute_circuit(be, s, circuit, state, tr, guard);
-            }
-        })
-    }
-
-    /// Detach the tracer from the pool, close it, and write the
-    /// configured sink.
-    fn finish_trace(
-        &self,
-        tracer: Arc<Tracer>,
-        be: &KernelBackend,
-        n_qubits: u32,
-    ) -> Result<Trace, SimError> {
-        if let Some(pool) = &self.pool {
-            pool.set_observer(None);
-        }
-        // Detaching the observer dropped the pool's clone; the
-        // tracer is exclusively ours again.
-        let t = Arc::try_unwrap(tracer)
-            .unwrap_or_else(|_| unreachable!("tracer still shared after detach"));
-        let meta = RunMeta {
-            strategy: self.strategy.to_string(),
-            backend: be.name.to_string(),
-            threads: self.threads() as u32,
-            schedule: self.sched.to_string(),
-            n_qubits,
-            label: self.telemetry.label.clone(),
-        };
-        let trace = t.finish(meta);
-        telemetry::write_configured(&self.telemetry, &trace).map_err(|e| {
-            SimError::TraceIo(match &self.telemetry.trace_path {
-                Some(p) => format!("{}: {e}", p.display()),
-                None => e.to_string(),
-            })
-        })?;
-        Ok(trace)
     }
 
     /// Execute a circuit that may contain [`Gate::Measure`] and
     /// [`Gate::Cif`] ops.
     ///
-    /// The circuit is segmented at every non-unitary op: each maximal
-    /// unitary run executes under the configured strategy (a measurement
-    /// is therefore a plan/fusion *barrier* — no lowering crosses a
-    /// collapse), the measurement itself draws from
-    /// `StdRng::seed_from_u64(seed)` and collapses in two sweeps
-    /// ([`crate::measure::measure_qubit`]), and classically-controlled
-    /// gates consult the classical register accumulated so far.
+    /// [`Gate::Measure`]: crate::circuit::Gate::Measure
+    /// [`Gate::Cif`]: crate::circuit::Gate::Cif
+    ///
+    /// The circuit is lowered one maximal unitary segment at a time
+    /// under the configured strategy (a measurement is therefore a
+    /// plan/fusion *barrier* — no lowering crosses a collapse), the
+    /// measurement itself draws from `StdRng::seed_from_u64(seed)` and
+    /// collapses in two sweeps ([`crate::measure::measure_qubit`]), and
+    /// classically-controlled gates consult the classical register
+    /// accumulated so far.
     ///
     /// **RNG-stream contract:** all randomness comes from the one seeded
     /// stream, consumed in circuit order (one draw per `Measure`). The
@@ -561,382 +500,138 @@ impl Simulator {
         state: &mut StateVector,
         seed: u64,
     ) -> Result<MeasuredReport, SimError> {
-        use rand::SeedableRng;
-        if circuit.n_qubits() != state.n_qubits() {
-            return Err(SimError::QubitMismatch {
-                circuit: circuit.n_qubits(),
-                state: state.n_qubits(),
-            });
-        }
-        let be = self.backend();
-        let tracer = if self.telemetry.enabled {
+        let n = circuit.n_qubits();
+        check_widths(n, std::slice::from_ref(state))?;
+        let guard = RunGuard::new(&self.integrity, None, n)?;
+        let strategy = self.resolved(circuit);
+        let mut ex =
+            self.execute(self.strategy, None, std::slice::from_mut(state), &[seed], guard, || {
+                vec![lower_with(circuit, strategy, Calibration::get)]
+            })?;
+        let run = ex.runs.pop().expect("one member ran");
+        Ok(MeasuredReport {
+            wall_seconds: ex.wall_seconds,
+            gates: circuit.len(),
+            segments: circuit.gates().split(|g| !g.is_unitary()).filter(|s| !s.is_empty()).count(),
+            sweeps: run.sweeps,
+            outcomes: run.outcomes,
+            creg: run.creg,
+            backend: self.backend().name,
+            trace: ex.traces.pop(),
+            guard: ex.guard,
+        })
+    }
+
+    /// The one path under every public entry point: set up telemetry
+    /// (outside the timed region; when disabled the run pays one
+    /// `Option` branch per op), lower and execute (timed), then finish
+    /// and write the traces. `batch` tags member traces with the batch
+    /// id; `meta_strategy` is the strategy stamped into trace headers.
+    pub(crate) fn execute(
+        &self,
+        meta_strategy: Strategy,
+        batch: Option<u64>,
+        states: &mut [StateVector],
+        seeds: &[u64],
+        mut guard: Option<RunGuard>,
+        lower: impl FnOnce() -> Vec<Program>,
+    ) -> Result<Executed, SimError> {
+        let n = states[0].n_qubits();
+        let tracers: Option<Vec<Arc<Tracer>>> = self.telemetry.enabled.then(|| {
             let (chip, cfg) = self
                 .chip
                 .clone()
                 .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            let t = Arc::new(Tracer::new(
-                circuit.n_qubits(),
-                self.threads(),
-                chip,
-                cfg,
-                self.telemetry.capacity,
-            ));
-            if let Some(pool) = &self.pool {
+            (0..states.len())
+                .map(|_| {
+                    let t =
+                        Tracer::new(n, self.threads(), chip.clone(), cfg, self.telemetry.capacity);
+                    Arc::new(t)
+                })
+                .collect()
+        });
+        // A single run's sweeps are workshared: the pool's busy clocks
+        // feed its tracer.
+        let observed = match (&self.pool, tracers.as_deref()) {
+            (Some(pool), Some([t])) if batch.is_none() => {
                 pool.set_observer(Some(t.clone() as Arc<dyn RegionObserver>));
+                Some(pool)
             }
-            Some(t)
-        } else {
-            None
+            _ => None,
         };
-        let tr = tracer.as_deref();
-        let mut guard = RunGuard::new(&self.integrity, None, circuit.n_qubits())?;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut outcomes: Vec<crate::measure::MeasurementResult> = Vec::new();
-        let mut creg: u64 = 0;
-        let mut segments = 0usize;
-        let mut sweeps = 0usize;
-        let mut seg = Circuit::new(circuit.n_qubits());
         let start = Instant::now();
-        for g in circuit.gates() {
-            if g.is_unitary() {
-                seg.push(g.clone());
-                continue;
-            }
-            if !seg.is_empty() {
-                let (s, _) =
-                    self.execute_circuit(be, self.strategy, &seg, state, tr, &mut guard)?;
-                sweeps += s;
-                segments += 1;
-                seg = Circuit::new(circuit.n_qubits());
-            }
-            match g {
-                Gate::Measure { q, creg: bit } => {
-                    let t0 = tr.map(|_| Instant::now());
-                    let r = crate::measure::measure_qubit(state, *q, &mut rng);
-                    if let (Some(t), Some(t0)) = (tr, t0) {
-                        t.record_measure(0, *q, t0.elapsed().as_nanos() as u64);
-                    }
-                    if r.outcome == 1 {
-                        creg |= 1 << bit;
-                    } else {
-                        creg &= !(1 << bit);
-                    }
-                    outcomes.push(r);
-                }
-                Gate::Cif { mask, val, gate } => {
-                    if creg & *mask == *val {
-                        let t0 = tr.map(|_| Instant::now());
-                        exec_gate(
-                            be,
-                            self.pool.as_deref(),
-                            self.sched,
-                            state.amplitudes_mut(),
-                            gate,
-                        );
-                        if let (Some(t), Some(t0)) = (tr, t0) {
-                            t.record_gate(0, gate, t0.elapsed().as_nanos() as u64);
-                        }
-                        sweeps += 1;
-                    }
-                }
-                _ => unreachable!("non-unitary gates are Measure/Cif only"),
-            }
-        }
-        if !seg.is_empty() {
-            let (s, _) = self.execute_circuit(be, self.strategy, &seg, state, tr, &mut guard)?;
-            sweeps += s;
-            segments += 1;
-        }
+        let programs = lower();
+        let exec = self.executor(batch.is_some());
+        let runs = exec.run(&programs, states, seeds, tracers.as_deref(), &mut guard);
         let wall_seconds = start.elapsed().as_secs_f64();
-        let trace = match tracer {
-            Some(t) => Some(self.finish_trace(t, be, circuit.n_qubits())?),
-            None => None,
+        if let Some(pool) = observed {
+            pool.set_observer(None);
+        }
+        let runs = runs?;
+        let traces = match tracers {
+            Some(ts) => self.finish_traces(ts, meta_strategy, batch, n)?,
+            None => Vec::new(),
         };
-        Ok(MeasuredReport {
-            wall_seconds,
-            gates: circuit.len(),
-            segments,
-            sweeps,
-            outcomes,
-            creg,
-            backend: be.name,
-            trace,
-            guard: guard.map(|g| g.report),
-        })
+        Ok(Executed { wall_seconds, programs, runs, traces, guard: guard.map(|g| g.report) })
     }
 
-    fn run_naive(
+    /// Close each member's tracer and write the configured sink. Member
+    /// 0 honors the configured truncate/append choice; later members
+    /// append, so one batched run lands in the JSONL sink as one
+    /// contiguous group.
+    fn finish_traces(
         &self,
-        be: &KernelBackend,
-        circuit: &Circuit,
-        state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let amps = state.amplitudes_mut();
-        let gates = circuit.gates();
-        // Index-based so a guard rollback can rewind and replay.
-        let mut i = 0;
-        while i < gates.len() {
-            let g = &gates[i];
-            let t0 = tr.map(|_| Instant::now());
-            exec_gate(be, self.pool.as_deref(), self.sched, amps, g);
-            if let (Some(t), Some(t0)) = (tr, t0) {
-                t.record_gate(0, g, t0.elapsed().as_nanos() as u64);
-            }
-            i = advance(guard, amps, i)?;
+        tracers: Vec<Arc<Tracer>>,
+        strategy: Strategy,
+        batch: Option<u64>,
+        n_qubits: u32,
+    ) -> Result<Vec<Trace>, SimError> {
+        let mut traces = Vec::with_capacity(tracers.len());
+        for (m, t) in tracers.into_iter().enumerate() {
+            // Detaching the pool observer dropped the pool's clone; the
+            // tracer is exclusively ours again.
+            let t = Arc::try_unwrap(t)
+                .unwrap_or_else(|_| unreachable!("tracer still shared after detach"));
+            let label = match batch {
+                Some(id) => member_label(&self.telemetry.label, id, m),
+                None => self.telemetry.label.clone(),
+            };
+            let trace = t.finish(RunMeta {
+                strategy: strategy.to_string(),
+                backend: self.backend().name.to_string(),
+                threads: self.threads() as u32,
+                schedule: self.sched.to_string(),
+                n_qubits,
+                label,
+            });
+            let sink = self.telemetry.clone().appending(self.telemetry.append || m > 0);
+            telemetry::write_configured(&sink, &trace).map_err(|e| {
+                SimError::TraceIo(match &self.telemetry.trace_path {
+                    Some(p) => format!("{}: {e}", p.display()),
+                    None => e.to_string(),
+                })
+            })?;
+            traces.push(trace);
         }
-        Ok(gates.len())
-    }
-
-    fn run_fused_ops(
-        &self,
-        be: &KernelBackend,
-        ops: &[FusedOp],
-        state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let amps = state.amplitudes_mut();
-        // Lower every op once, outside the sweep loop: sorting, offset
-        // tables, and class dispatch are not re-done per sweep, and the
-        // hot loop itself performs no heap allocation (`tests/no_alloc`).
-        let preps: Vec<PreparedFused<'_>> = ops.iter().map(PreparedFused::new).collect();
-        let mut i = 0;
-        while i < ops.len() {
-            let op = &ops[i];
-            let t0 = tr.map(|_| Instant::now());
-            match self.pool.as_deref() {
-                Some(pool) => preps[i].apply_parallel(be, pool, self.sched, amps),
-                None => preps[i].apply(be, amps),
-            }
-            if let (Some(t), Some(t0)) = (tr, t0) {
-                t.record_fused(0, op, t0.elapsed().as_nanos() as u64);
-            }
-            i = advance(guard, amps, i)?;
-        }
-        Ok(ops.len())
-    }
-
-    fn run_blocked(
-        &self,
-        be: &KernelBackend,
-        circuit: &Circuit,
-        state: &mut StateVector,
-        block_qubits: u32,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let block_qubits = block_qubits.min(state.n_qubits());
-        // One item = one sweep; materialized up front so a guard
-        // rollback can rewind to any sweep boundary.
-        let items = build_block_items(circuit, block_qubits, tr.is_some());
-
-        let amps = state.amplitudes_mut();
-        let mut i = 0;
-        while i < items.len() {
-            let t0 = tr.map(|_| Instant::now());
-            match &items[i] {
-                BlockItem::Run(bgs, mem) => {
-                    exec_block_run(be, self.pool.as_deref(), self.sched, amps, bgs, block_qubits);
-                    if let (Some(t), Some(t0)) = (tr, t0) {
-                        t.record_block_run(0, mem, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                BlockItem::Single(gi) => {
-                    let g = &circuit.gates()[*gi];
-                    exec_gate(be, self.pool.as_deref(), self.sched, amps, g);
-                    if let (Some(t), Some(t0)) = (tr, t0) {
-                        t.record_gate(0, g, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            i = advance(guard, amps, i)?;
-        }
-        Ok(items.len())
-    }
-
-    fn run_planned(
-        &self,
-        be: &KernelBackend,
-        plan: &Plan,
-        state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let amps = state.amplitudes_mut();
-        let mut i = 0;
-        while i < plan.ops.len() {
-            let op = &plan.ops[i];
-            let t0 = tr.map(|_| Instant::now());
-            exec_plan_op(be, self.pool.as_deref(), self.sched, amps, op, plan.block_qubits);
-            if let (Some(t), Some(t0)) = (tr, t0) {
-                let ns = t0.elapsed().as_nanos() as u64;
-                match op {
-                    PlanOp::SwapAxes(a, b) => t.record_kernel(0, KernelKind::Swap, &[*a, *b], ns),
-                    PlanOp::Block(ops) => t.record_block_pass(0, ops, ns),
-                    PlanOp::Gate(g) => t.record_gate(0, g, ns),
-                }
-            }
-            i = advance(guard, amps, i)?;
-        }
-        Ok(plan.sweeps)
+        Ok(traces)
     }
 }
 
-/// Planning products of one unitary execution, built once inside the
-/// timed region and shared with the model prediction afterwards —
-/// fusing or planning is never repeated for the report.
-enum Prep {
-    Direct,
-    Fused(Vec<FusedOp>),
-    Planned(Plan),
-}
-
-/// Report of one [`Simulator::run_measured`] execution.
-#[derive(Debug, Clone)]
-pub struct MeasuredReport {
-    /// Measured wall time of the host execution.
-    pub wall_seconds: f64,
-    /// Gates (unitary + non-unitary) in the source circuit.
-    pub gates: usize,
-    /// Maximal unitary segments executed between collapse barriers.
-    pub segments: usize,
-    /// State sweeps across all unitary segments plus taken `Cif` gates
-    /// (measurement collapse passes are not counted here).
-    pub sweeps: usize,
-    /// Every projective measurement, in circuit order.
-    pub outcomes: Vec<crate::measure::MeasurementResult>,
-    /// Final classical register: bit `creg` of each `Measure` holds its
-    /// observed outcome.
-    pub creg: u64,
-    /// Name of the SIMD kernel backend that executed the sweeps.
-    pub backend: &'static str,
-    /// The full telemetry trace, when telemetry is enabled.
-    pub trace: Option<Trace>,
-    /// Resilience-guard activity, when integrity sweeps were enabled.
-    pub guard: Option<GuardReport>,
-}
-
-/// Advance the executor index past item `i`, running any guard work
-/// that is due; a guard rollback rewinds the index instead.
-#[inline]
-fn advance(guard: &mut Option<RunGuard>, amps: &mut [C64], i: usize) -> Result<usize, SimError> {
-    match guard {
-        None => Ok(i + 1),
-        Some(g) => match g.after_item(amps, i)? {
-            GuardAction::Continue => Ok(i + 1),
-            GuardAction::Restored(step) => Ok(step),
-        },
+/// Every state must have the circuit's width.
+pub(crate) fn check_widths(n: u32, states: &[StateVector]) -> Result<(), SimError> {
+    match states.iter().find(|s| s.n_qubits() != n) {
+        Some(s) => Err(SimError::QubitMismatch { circuit: n, state: s.n_qubits() }),
+        None => Ok(()),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared per-op executors.
-//
-// Both the single-run `Simulator` loops above and the batched engine
-// (`crate::batch`) funnel every sweep through these functions, so a
-// batch member executes the *identical* kernel calls a lone run does.
-// The bit-exact batched-vs-sequential conformance guarantee holds by
-// construction: parallelism only changes which thread touches which
-// disjoint index range, never the per-amplitude arithmetic.
-
-/// One full-state gate sweep, serial or workshared.
-pub(crate) fn exec_gate(
-    be: &KernelBackend,
-    pool: Option<&ThreadPool>,
-    sched: Schedule,
-    amps: &mut [C64],
-    g: &Gate,
-) {
-    match pool {
-        Some(pool) => apply_gate_parallel_with(be, pool, sched, amps, g),
-        None => apply_gate_with(be, amps, g),
+/// Trace label for one batch member: `[<base>/]batch=<id>/member=<m>`.
+fn member_label(base: &str, batch_id: u64, member: usize) -> String {
+    if base.is_empty() {
+        format!("batch={batch_id}/member={member}")
+    } else {
+        format!("{base}/batch={batch_id}/member={member}")
     }
-}
-
-/// One cache-blocked run of low-target gates, serial or workshared.
-pub(crate) fn exec_block_run(
-    be: &KernelBackend,
-    pool: Option<&ThreadPool>,
-    sched: Schedule,
-    amps: &mut [C64],
-    gates: &[BlockGate],
-    block_qubits: u32,
-) {
-    match pool {
-        Some(pool) => apply_blocked_parallel(be, pool, sched, amps, gates, block_qubits),
-        None => apply_blocked(be, amps, gates, block_qubits),
-    }
-}
-
-/// One step of a plan, serial or workshared.
-pub(crate) fn exec_plan_op(
-    be: &KernelBackend,
-    pool: Option<&ThreadPool>,
-    sched: Schedule,
-    amps: &mut [C64],
-    op: &PlanOp,
-    block_qubits: u32,
-) {
-    match op {
-        PlanOp::SwapAxes(a, b) => match pool {
-            Some(pool) => parallel::apply_swap(pool, sched, amps, *a, *b, be),
-            None => simd::apply_swap(be, amps, *a, *b),
-        },
-        PlanOp::Block(ops) => match pool {
-            Some(pool) => apply_blocked_fused_parallel(be, pool, sched, amps, ops, block_qubits),
-            None => apply_blocked_fused(be, amps, ops, block_qubits),
-        },
-        PlanOp::Gate(g) => exec_gate(be, pool, sched, amps, g),
-    }
-}
-
-/// One sweep item of a `Strategy::Blocked` execution: either a
-/// cache-resident run of block gates or a single fallback gate (by gate
-/// index into the source circuit).
-pub(crate) enum BlockItem {
-    /// The second vec is the kernel-kind/qubit shadow of the run,
-    /// maintained only while tracing.
-    Run(Vec<BlockGate>, Vec<(KernelKind, Vec<u32>)>),
-    Single(usize),
-}
-
-/// Materialize the sweep items of a blocked execution up front (so a
-/// guard rollback can rewind to any sweep boundary, and so a batched
-/// run can share one item list across every member). `shadow` keeps the
-/// per-run classification table the tracer needs.
-pub(crate) fn build_block_items(
-    circuit: &Circuit,
-    block_qubits: u32,
-    shadow: bool,
-) -> Vec<BlockItem> {
-    let mut items: Vec<BlockItem> = Vec::new();
-    let mut run: Vec<BlockGate> = Vec::new();
-    let mut members: Vec<(KernelKind, Vec<u32>)> = Vec::new();
-    for (gi, g) in circuit.gates().iter().enumerate() {
-        match to_block_gate(g, block_qubits) {
-            Some(bg) => {
-                run.push(bg);
-                if shadow {
-                    members.push((crate::perf::classify(g), g.qubits()));
-                }
-            }
-            None => {
-                if !run.is_empty() {
-                    items.push(BlockItem::Run(
-                        std::mem::take(&mut run),
-                        std::mem::take(&mut members),
-                    ));
-                }
-                items.push(BlockItem::Single(gi));
-            }
-        }
-    }
-    if !run.is_empty() {
-        items.push(BlockItem::Run(run, members));
-    }
-    items
 }
 
 impl Default for Simulator {
@@ -958,34 +653,10 @@ impl std::fmt::Debug for Simulator {
     }
 }
 
-/// Convert a gate into its blocked form if all its qubits fit below the
-/// block width.
-fn to_block_gate(g: &Gate, block_qubits: u32) -> Option<BlockGate> {
-    if g.qubits().iter().any(|&q| q >= block_qubits) {
-        return None;
-    }
-    if let Some((q, m)) = g.as_single() {
-        return Some(if g.is_diagonal() {
-            BlockGate::Diag1(q, m.m[0][0], m.m[1][1])
-        } else {
-            BlockGate::One(q, m)
-        });
-    }
-    match *g {
-        Gate::Swap(a, b) => Some(BlockGate::Swap(a, b)),
-        _ => {
-            if let Some((c, t, m)) = g.as_controlled() {
-                Some(BlockGate::Controlled(c, t, m))
-            } else {
-                g.as_two().map(|(h, l, m)| BlockGate::Two(h, l, m))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Gate;
     use crate::library;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -46,6 +46,7 @@ use omp_par::RegionObserver;
 
 use crate::circuit::Gate;
 use crate::fusion::FusedOp;
+use crate::kernels::blocked::BlockGate;
 use crate::perf;
 use ring::SpanRing;
 
@@ -500,9 +501,10 @@ impl Tracer {
         self.record_kernel(thread, perf::classify(gate), &gate.qubits(), wall_ns);
     }
 
-    /// Record one fused-op sweep (kind `FusedDense{k}`, matching
-    /// [`crate::perf::predict_fused`]). A gate-backed singleton executes
-    /// through its per-gate kernel, so it is recorded as that kernel.
+    /// Record one fused-op sweep (kind `FusedDense{k}`, as
+    /// [`crate::perf::predict_program`] prices it). A gate-backed
+    /// singleton executes through its per-gate kernel, so it is
+    /// recorded as that kernel.
     pub fn record_fused(&self, thread: usize, op: &FusedOp, wall_ns: u64) {
         if let Some(g) = &op.gate {
             return self.record_gate(thread, g, wall_ns);
@@ -525,20 +527,14 @@ impl Tracer {
     }
 
     /// Record one cache-blocked run of unfused gates (the blocked
-    /// engine); `members` pairs each gate's kernel kind with its qubits.
-    pub fn record_block_run(
-        &self,
-        thread: usize,
-        members: &[(KernelKind, Vec<u32>)],
-        wall_ns: u64,
-    ) {
-        let Some((kind, traffic)) = perf::blocked_run_traffic(&self.model, self.n_qubits, members)
+    /// engine).
+    pub fn record_block_run(&self, thread: usize, gates: &[BlockGate], wall_ns: u64) {
+        let Some((kind, traffic)) = perf::blocked_run_traffic(&self.model, self.n_qubits, gates)
         else {
             return;
         };
-        let span_kind = SpanKind::Block { gates: members.len() as u32, k: 0 };
-        let qubits = members[0].1.clone();
-        self.record_traffic(thread, span_kind, &qubits, kind, &traffic, wall_ns);
+        let span_kind = SpanKind::Block { gates: gates.len() as u32, k: 0 };
+        self.record_traffic(thread, span_kind, &gates[0].qubits(), kind, &traffic, wall_ns);
     }
 
     fn record_traffic(

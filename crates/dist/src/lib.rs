@@ -16,8 +16,10 @@
 //! * [`error`] — [`DistError`]: typed failures replacing the engine's
 //!   former panics, split into recoverable transients and hard errors.
 //! * [`plan`] — [`DistPlan`]: exchange-minimizing qubit-reorder planning
-//!   and comm/compute-overlapped execution (`QCS_DIST_PLAN` selects
-//!   naive / reorder / overlap; all bit-identical).
+//!   (a whole-circuit logical→physical permutation, so repeated touches
+//!   of a global qubit pay one relocation) and comm/compute-overlapped
+//!   execution (`QCS_DIST_PLAN` selects naive / reorder / overlap; all
+//!   bit-identical).
 //! * [`resilience`] — [`run_resilient`]: coordinated checkpoints,
 //!   rollback-and-replay, and integrity guards over the engine.
 
@@ -25,7 +27,6 @@ pub mod engine;
 pub mod error;
 pub mod partition;
 pub mod plan;
-pub mod remap;
 pub mod resilience;
 
 pub use engine::{run_distributed, run_distributed_traced, DistState};
@@ -35,5 +36,4 @@ pub use plan::{
     plan_circuit, run_distributed_planned, run_distributed_planned_traced, DistPlan, DistPlanKind,
     PlannedGate,
 };
-pub use remap::{run_distributed_mapped, MappedDistState};
 pub use resilience::{run_resilient, RecoveryReport, ResilienceConfig, ResilientRun};

@@ -319,12 +319,7 @@ fn step_gate(
     if pending_failures.remove(&i) {
         return Err(DistError::Injected { gate_index: i });
     }
-    for &(g, l) in &gates[i].pre_swaps {
-        st.swap_physical(comm, g, l)?;
-    }
-    if let Some(g) = &gates[i].gate {
-        st.apply_gate(comm, g)?;
-    }
+    gates[i].apply(st, comm)?;
     if cfg.integrity.due(i) {
         let local: f64 = st.local_amps().iter().map(|a| a.norm_sqr()).sum();
         let global = comm.allreduce_scalar(ReduceOp::Sum, local);

@@ -67,13 +67,19 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the bound keeps hostile input (e.g. a body of
+/// nothing but `[`) from overflowing the connection thread's stack; no
+/// job submission nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Returns `Err` with a short human-readable
-/// reason on malformed input — the server maps it to a 400, never a
-/// panic.
+/// reason on malformed input (including nesting deeper than
+/// [`MAX_DEPTH`]) — the server maps it to a 400, never a panic.
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -87,12 +93,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// One value nested `depth` containers deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at offset {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -110,7 +120,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -126,7 +136,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at offset {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -140,7 +150,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut arr = Vec::new();
     skip_ws(b, pos);
@@ -149,7 +159,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(arr));
     }
     loop {
-        arr.push(parse_value(b, pos)?);
+        arr.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -253,6 +263,16 @@ pub fn quote(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let err = parse(&"[".repeat(400_000)).unwrap_err();
+        assert!(err.contains("deeper than"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("deeper than"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+    }
 
     #[test]
     fn parses_nested_job_submission() {

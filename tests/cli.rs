@@ -156,6 +156,22 @@ fn bad_qasm_reports_line() {
 }
 
 #[test]
+fn deeply_nested_qasm_angle_is_a_one_line_error() {
+    let dir = std::env::temp_dir().join("a64fx_qcs_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let depth = 50_000;
+    let parens = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let signs = format!("{}1", "-".repeat(depth));
+    for (name, angle) in [("parens.qasm", parens), ("signs.qasm", signs)] {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("qreg q[1];\nrz({angle}) q[0];\n")).unwrap();
+        let err = run_err(&["run", path.to_str().unwrap()]);
+        assert_eq!(err.trim_end().lines().count(), 1, "{name}: {err}");
+        assert!(err.contains("line 2") && err.contains("deeper than"), "{name}: {err}");
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let out = run_ok(&["--help"]);
     assert!(out.contains("usage:"));

@@ -141,8 +141,9 @@ fn collapse_frequencies_match_the_premeasure_probability() {
 }
 
 /// The per-member RNG-stream contract, end to end: batched measured
-/// execution is bit-identical to serial trajectories at every thread
-/// count, for a circuit mixing collapse and classical control.
+/// execution is bit-identical to serial trajectories under every
+/// strategy and at every thread count, for a circuit mixing collapse
+/// and classical control.
 #[test]
 fn batched_measured_runs_are_bit_identical_to_serial() {
     let n = 5;
@@ -158,40 +159,42 @@ fn batched_measured_runs_are_bit_identical_to_serial() {
     c.cif_bit(1, 1, Gate::H(0));
 
     let seeds: Vec<u64> = (0..6).map(|i| 1000 + 37 * i).collect();
-    let serial = Simulator::new();
-    let mut want_states = Vec::new();
-    let mut want_cregs = Vec::new();
-    let mut want_outcomes = Vec::new();
-    for &seed in &seeds {
-        let mut s = StateVector::zero(n);
-        let report = serial.run_measured(&c, &mut s, seed).unwrap();
-        want_states.push(s);
-        want_cregs.push(report.creg);
-        want_outcomes.push(report.outcomes);
-    }
+    for strategy in ["naive", "fused:3", "blocked:3", "planned:3:3", "auto"] {
+        let strategy: Strategy = strategy.parse().unwrap();
+        let serial = SimConfig::default().strategy(strategy).build().unwrap();
+        let mut want_states = Vec::new();
+        let mut want_cregs = Vec::new();
+        let mut want_outcomes = Vec::new();
+        for &seed in &seeds {
+            let mut s = StateVector::zero(n);
+            let report = serial.run_measured(&c, &mut s, seed).unwrap();
+            want_states.push(s);
+            want_cregs.push(report.creg);
+            want_outcomes.push(report.outcomes);
+        }
 
-    for threads in [1usize, 4] {
-        let cfg = if threads == 1 {
-            SimConfig::default()
-        } else {
-            SimConfig { pool: PoolSpec::Threads(threads), ..SimConfig::default() }
-        };
-        let engine = BatchSimulator::from_config(cfg).unwrap();
-        let mut states: Vec<StateVector> = seeds.iter().map(|_| StateVector::zero(n)).collect();
-        let batch = engine.run_measured(&c, &mut states, &seeds).unwrap();
-        for (m, seed) in seeds.iter().enumerate() {
-            assert_eq!(batch.cregs[m], want_cregs[m], "creg diverged (seed {seed}, {threads}t)");
-            assert_eq!(
-                batch.outcomes[m], want_outcomes[m],
-                "outcomes diverged (seed {seed}, {threads}t)"
-            );
-            for (i, (got, want)) in
-                states[m].amplitudes().iter().zip(want_states[m].amplitudes()).enumerate()
-            {
-                assert!(
-                    got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
-                    "amplitude {i} diverged (seed {seed}, {threads} threads): {got:?} vs {want:?}"
-                );
+        for threads in [1usize, 4] {
+            let cfg = if threads == 1 {
+                SimConfig::default()
+            } else {
+                SimConfig { pool: PoolSpec::Threads(threads), ..SimConfig::default() }
+            };
+            let engine = BatchSimulator::from_config(cfg.strategy(strategy)).unwrap();
+            let mut states: Vec<StateVector> = seeds.iter().map(|_| StateVector::zero(n)).collect();
+            let batch = engine.run_measured(&c, &mut states, &seeds).unwrap();
+            for (m, seed) in seeds.iter().enumerate() {
+                let at = format!("seed {seed}, {strategy}, {threads} threads");
+                assert_eq!(batch.cregs[m], want_cregs[m], "creg diverged ({at})");
+                assert_eq!(batch.outcomes[m], want_outcomes[m], "outcomes diverged ({at})");
+                for (i, (got, want)) in
+                    states[m].amplitudes().iter().zip(want_states[m].amplitudes()).enumerate()
+                {
+                    assert!(
+                        got.re.to_bits() == want.re.to_bits()
+                            && got.im.to_bits() == want.im.to_bits(),
+                        "amplitude {i} diverged ({at}): {got:?} vs {want:?}"
+                    );
+                }
             }
         }
     }

@@ -7,9 +7,13 @@ use a64fx_qcs::a64fx::roofline::{attainable_gflops, ridge_point};
 use a64fx_qcs::a64fx::timing::{predict, Bottleneck, ExecConfig, KernelProfile};
 use a64fx_qcs::a64fx::traffic::{KernelKind, TrafficModel};
 use a64fx_qcs::a64fx::ChipParams;
+use a64fx_qcs::core::calibrate::{self, Calibration};
 use a64fx_qcs::core::gates::standard;
 use a64fx_qcs::core::kernels::sve::apply_1q_sve;
+use a64fx_qcs::core::library;
 use a64fx_qcs::core::perf::{predict_batched, predict_circuit};
+use a64fx_qcs::core::prelude::{BatchSimulator, SimConfig};
+use a64fx_qcs::core::program::lower;
 use a64fx_qcs::core::testing;
 use a64fx_qcs::core::StateVector;
 use a64fx_qcs::sve::{SveCtx, Vl};
@@ -182,5 +186,37 @@ fn vl_sweep_counted_instructions_halve_per_doubling() {
     for w in counts.windows(2) {
         let ratio = w[0] / w[1];
         assert!((1.8..=2.2).contains(&ratio), "halving expected, got {ratio}");
+    }
+}
+
+/// What runs is what is priced and what is traced: for every strategy
+/// `Auto` chooses from, the lowered program, the single run, the batch,
+/// the calibrated pricer, the A64FX model and the trace all count the
+/// same sweeps.
+#[test]
+fn lowered_sweeps_agree_across_run_batch_pricer_model_and_trace() {
+    let n = 8;
+    let cal = Calibration::get();
+    let families =
+        [("random", testing::random_circuit_seeded(n, 60, 17)), ("qft", library::qft(n))];
+    for (name, circuit) in families {
+        for strategy in calibrate::candidates(n) {
+            let program = lower(&circuit, strategy, cal).sweeps();
+            let cfg = SimConfig::default()
+                .strategy(strategy)
+                .model(ChipParams::a64fx(), ExecConfig::full_chip());
+            let mut state = StateVector::zero(n);
+            let run = cfg.clone().traced().build().unwrap().run(&circuit, &mut state).unwrap();
+            let model = run.predicted.expect("model attached").sweeps;
+            let spans = run.trace.expect("telemetry on").spans.len();
+            let mut members = vec![StateVector::zero(n), StateVector::zero(n)];
+            let batch = BatchSimulator::from_config(cfg).unwrap().run(&circuit, &mut members);
+            let (_, priced) = calibrate::predict_strategy(cal, &circuit, strategy);
+            assert_eq!(
+                [run.sweeps, batch.unwrap().sweeps, priced, model, spans],
+                [program; 5],
+                "{strategy} on {name}: run, batch, pricer, model, trace vs program"
+            );
+        }
     }
 }

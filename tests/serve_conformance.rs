@@ -258,6 +258,29 @@ fn malformed_submissions_are_rejected_without_killing_the_worker() {
 }
 
 #[test]
+fn deeply_nested_submissions_are_400s_and_the_server_survives() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let depth = 50_000;
+    let angle = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let bodies = [
+        // ~400 KB of nested arrays.
+        "[".repeat(400_000),
+        format!(
+            r#"{{"tenant":"t","n":1,"shots":8,"seed":1,"qasm":"qreg q[1];\nrz({angle}) q[0];\n"}}"#
+        ),
+    ];
+    for body in &bodies {
+        let (status, resp) = http_request(addr, "POST", "/jobs", body).unwrap();
+        assert_eq!(status, 400, "expected a 400, got {status}: {resp}");
+        assert!(resp.contains("deeper than"), "error should name the nesting bound: {resp}");
+    }
+    let (status, _) = http_request(addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn compatible_jobs_from_independent_tenants_share_one_batch() {
     let cfg = ServeConfig { window_ms: 400, ..ServeConfig::default() };
     let server = Server::start(cfg).unwrap();
